@@ -5,10 +5,20 @@
 
 use hetjpeg_core::platform::Platform;
 use hetjpeg_core::schedule::Mode;
-use hetjpeg_core::{BuildError, DecodeOptions, Decoder, OutputFormat};
+use hetjpeg_core::{BuildError, DecodeOptions, Decoder, OutputFormat, RowStreamOutcome, RowTile};
 use hetjpeg_jpeg::encoder::{encode_rgb, EncodeParams};
 use hetjpeg_jpeg::types::Subsampling;
 use proptest::prelude::*;
+
+fn noise_rgb(w: usize, h: usize, seed: u32) -> Vec<u8> {
+    let mut rgb = Vec::with_capacity(w * h * 3);
+    let mut s = seed | 1;
+    for _ in 0..w * h {
+        s = s.wrapping_mul(1664525).wrapping_add(1013904223);
+        rgb.extend_from_slice(&[(s >> 8) as u8, (s >> 16) as u8, (s >> 24) as u8]);
+    }
+    rgb
+}
 
 fn noise_jpeg(
     w: usize,
@@ -18,14 +28,8 @@ fn noise_jpeg(
     interval: usize,
     seed: u32,
 ) -> Vec<u8> {
-    let mut rgb = Vec::with_capacity(w * h * 3);
-    let mut s = seed | 1;
-    for _ in 0..w * h {
-        s = s.wrapping_mul(1664525).wrapping_add(1013904223);
-        rgb.extend_from_slice(&[(s >> 8) as u8, (s >> 16) as u8, (s >> 24) as u8]);
-    }
     encode_rgb(
-        &rgb,
+        &noise_rgb(w, h, seed),
         w as u32,
         h as u32,
         &EncodeParams {
@@ -35,6 +39,22 @@ fn noise_jpeg(
         },
     )
     .expect("encode")
+}
+
+fn noise_progressive(w: usize, h: usize, sub: Subsampling, seed: u32) -> Vec<u8> {
+    use hetjpeg_jpeg::progressive::{encode_rgb_progressive, ScanPreset};
+    encode_rgb_progressive(
+        &noise_rgb(w, h, seed),
+        w as u32,
+        h as u32,
+        &EncodeParams {
+            quality: 85,
+            subsampling: sub,
+            restart_interval: 0,
+        },
+        ScanPreset::Standard10,
+    )
+    .expect("encode progressive")
 }
 
 fn subsampling_strategy() -> impl Strategy<Value = Subsampling> {
@@ -294,4 +314,176 @@ fn construction_validates_instead_of_panicking_mid_decode() {
         matches!(err, BuildError::ModelPlatformMismatch { .. }),
         "{err}"
     );
+}
+
+/// Stream `jpeg` through `decode_rows` and reassemble the tiles into one
+/// RGB buffer, checking the tile geometry along the way.
+fn reassemble_rows(
+    decoder: &Decoder,
+    jpeg: &[u8],
+    opts: DecodeOptions,
+) -> (Vec<u8>, RowStreamOutcome) {
+    let mut rgb = Vec::new();
+    let mut next_y = 0usize;
+    let out = decoder
+        .decode_rows(jpeg, opts, &mut |tile: RowTile<'_>| {
+            assert_eq!(tile.y0, next_y, "tiles arrive top to bottom");
+            assert_eq!(tile.rgb.len(), tile.rows * tile.width * 3);
+            next_y += tile.rows;
+            rgb.extend_from_slice(tile.rgb);
+            true
+        })
+        .expect("row stream");
+    assert_eq!(next_y, out.height, "tiles cover every pixel row");
+    (rgb, out)
+}
+
+#[test]
+fn decode_rows_reassembles_to_decode_pixels() {
+    // Every input class the row stream serves: baseline, DRI, progressive
+    // (full script and a one-scan prefix) and tolerant salvage of
+    // truncated baseline and progressive streams. The reassembled tiles
+    // must equal `decode`'s pixels byte for byte with the same
+    // `truncated` flag, on both the scalar and the SIMD render.
+    let baseline = noise_jpeg(97, 61, 85, Subsampling::S420, 0, 31);
+    let dri = noise_jpeg(120, 88, 80, Subsampling::S422, 3, 32);
+    let progressive = noise_progressive(77, 53, Subsampling::S420, 33);
+    let mut cut_dri = noise_jpeg(96, 96, 84, Subsampling::S422, 4, 34);
+    cut_dri.truncate(cut_dri.len() - cut_dri.len() / 3);
+    let mut cut_progressive = noise_progressive(64, 64, Subsampling::S422, 35);
+    cut_progressive.truncate(cut_progressive.len() / 2);
+    // The whole-image reference decodes with `Simd`: `Auto` may pick
+    // ParallelEntropy, whose segment split does not yet notice missing
+    // restart intervals, so it would not flag the truncated DRI stream.
+    let strict = DecodeOptions::with_mode(Mode::Simd);
+    let cases: Vec<(&str, &[u8], DecodeOptions, bool)> = vec![
+        ("baseline", &baseline, strict, false),
+        ("dri", &dri, strict, false),
+        ("progressive", &progressive, strict, false),
+        (
+            "progressive max_scans(1)",
+            &progressive,
+            strict.max_scans(1),
+            true,
+        ),
+        ("truncated dri", &cut_dri, strict.tolerant(), true),
+        (
+            "truncated progressive",
+            &cut_progressive,
+            strict.tolerant(),
+            true,
+        ),
+    ];
+    let decoder = Decoder::builder().build().expect("valid configuration");
+    for (label, jpeg, opts, want_truncated) in cases {
+        let whole = decoder.decode(jpeg, opts).expect(label);
+        assert_eq!(whole.truncated, want_truncated, "{label}");
+        for mode in [Mode::Auto, Mode::Sequential, Mode::Simd, Mode::Pps] {
+            let (rgb, out) = reassemble_rows(&decoder, jpeg, DecodeOptions { mode, ..opts });
+            assert_eq!(rgb, whole.image.data, "{label} {mode:?}: tile bytes differ");
+            assert_eq!(out.truncated, whole.truncated, "{label} {mode:?}");
+            assert!(out.completed, "{label} {mode:?}");
+            assert_eq!(out.tiles, out.mcu_rows, "{label} {mode:?}");
+            assert_eq!(
+                (out.width, out.height),
+                (whole.image.width, whole.image.height)
+            );
+            let want_mode = if mode == Mode::Sequential {
+                Mode::Sequential
+            } else {
+                Mode::Simd
+            };
+            assert_eq!(out.mode, want_mode, "{label} {mode:?}");
+        }
+    }
+}
+
+#[test]
+fn decode_rows_decode_and_batch_fail_identically() {
+    // The three entry points share one front door, so a rejected input
+    // fails with the same error variant and text whichever one carries it:
+    // the pixel guard, a strict truncated stream, and a progressive stream
+    // whose second scan header is corrupt.
+    let good = noise_jpeg(16, 16, 85, Subsampling::S420, 0, 41);
+    let big = noise_jpeg(64, 48, 85, Subsampling::S420, 0, 45);
+    let mut cut_dri = noise_jpeg(96, 96, 84, Subsampling::S422, 4, 42);
+    cut_dri.truncate(cut_dri.len() - cut_dri.len() / 3);
+    let mut cut_progressive = noise_progressive(64, 64, Subsampling::S422, 43);
+    cut_progressive.truncate(cut_progressive.len() / 2);
+    let mut corrupt_progressive = noise_progressive(64, 64, Subsampling::S420, 44);
+    let sos: Vec<usize> = corrupt_progressive
+        .windows(2)
+        .enumerate()
+        .filter(|(_, w)| w == &[0xFF, 0xDA])
+        .map(|(i, _)| i)
+        .collect();
+    assert!(sos.len() >= 2, "a multi-scan script");
+    // Second scan: FF DA, Lh (2), Ns, Ns × (Cs, Td/Ta), Ss, Se, Ah/Al.
+    let ns = corrupt_progressive[sos[1] + 4] as usize;
+    let ah_al = sos[1] + 5 + 2 * ns + 2;
+    corrupt_progressive[ah_al] = 0x54; // a refinement with no prior pass
+    let cases: Vec<(&str, &[u8], DecodeOptions)> = vec![
+        (
+            "max_pixels",
+            &big,
+            DecodeOptions::default().max_pixels(64 * 48 - 1),
+        ),
+        // Explicit mode: `Auto` may pick ParallelEntropy, whose segment
+        // split does not yet notice the missing restart intervals.
+        (
+            "strict truncated dri",
+            &cut_dri,
+            DecodeOptions::with_mode(Mode::Simd),
+        ),
+        (
+            "strict truncated progressive",
+            &cut_progressive,
+            DecodeOptions::default(),
+        ),
+        (
+            "corrupt progressive",
+            &corrupt_progressive,
+            DecodeOptions::default(),
+        ),
+    ];
+    let decoder = Decoder::builder().build().expect("valid configuration");
+    for (label, jpeg, opts) in cases {
+        let whole = decoder.decode(jpeg, opts).expect_err(label);
+        let rows = decoder
+            .decode_rows(jpeg, opts, &mut |_| true)
+            .expect_err(label);
+        let batch = decoder.decode_batch(&[jpeg, &good[..]], opts);
+        let batched = batch[0].as_ref().expect_err(label);
+        assert!(
+            batch[1].is_ok(),
+            "{label}: the healthy batch member decodes"
+        );
+        for (path, err) in [("decode_rows", &rows), ("decode_batch", batched)] {
+            assert_eq!(err, &whole, "{label}: {path} variant differs");
+            assert_eq!(
+                err.to_string(),
+                whole.to_string(),
+                "{label}: {path} text differs"
+            );
+        }
+    }
+}
+
+#[test]
+fn decode_rows_sink_abort_stops_after_the_current_tile() {
+    let jpeg = noise_jpeg(64, 128, 85, Subsampling::S420, 0, 51);
+    let decoder = Decoder::builder().build().expect("valid configuration");
+    for stop_after in [1usize, 3] {
+        let mut seen = 0usize;
+        let out = decoder
+            .decode_rows(&jpeg, DecodeOptions::default(), &mut |_| {
+                seen += 1;
+                seen < stop_after
+            })
+            .expect("row stream");
+        assert!(!out.completed, "stop after {stop_after}");
+        assert_eq!(out.tiles, stop_after);
+        assert_eq!(seen, stop_after, "no tile after the abort");
+        assert!(out.mcu_rows > stop_after);
+    }
 }
