@@ -362,8 +362,9 @@ mod tests {
         let platform = Platform::gtx680();
         let model = platform.untrained_model();
         let mut ws = Workspace::default();
+        let pick = select_mode(&prep, &platform, &model, 4).mode;
         let auto_out =
-            crate::schedule::dispatch(&prep, Mode::Auto, &platform, &model, 4, &mut ws).unwrap();
+            crate::schedule::dispatch(&prep, pick, &platform, &model, 4, &mut ws).unwrap();
         assert_ne!(auto_out.mode, Mode::Auto, "outcome reports the selection");
         let direct =
             crate::schedule::dispatch(&prep, auto_out.mode, &platform, &model, 4, &mut ws).unwrap();

@@ -7,12 +7,13 @@
 //! byte offsets and a serial stitch pass reconciles their staged output
 //! into the exact sequential result.
 //! [`crate::exec::decode_entropy_parallel_into`] really decodes both paths
-//! on a scoped thread pool. This module wires that driver in as a
-//! first-class decode mode: the functional output comes from the real
-//! threaded decode, while the virtual-time trace list-schedules the
-//! measured per-unit Huffman work (segments, or speculative chunk efforts
-//! including their convergence waste) onto `threads` virtual workers,
-//! appends the serial stitch span, then the SIMD parallel phase.
+//! on a scoped thread pool; the CPU pipeline's parallel fill
+//! (`schedule::cpu`) runs it as a first-class decode mode. The functional
+//! output comes from the real threaded decode, while the virtual-time
+//! trace (built here) list-schedules the measured per-unit Huffman work
+//! (segments, or speculative chunk efforts including their convergence
+//! waste) onto `threads` virtual workers and appends the serial stitch
+//! span; the SIMD parallel phase follows.
 //!
 //! The parallel phase is priced with the **sparse-aware** per-unit cost
 //! ([`crate::cost::CpuCostModel::parallel_time_sparse`]): this mode
@@ -23,15 +24,9 @@
 //! With one thread the mode degenerates to sequential entropy + SIMD band,
 //! still byte-identical.
 
-use super::{DecodeOutcome, Mode};
-use crate::exec::{decode_entropy_parallel_into, EntropyParallelOutcome};
+use crate::exec::EntropyParallelOutcome;
 use crate::platform::Platform;
-use crate::timeline::{Breakdown, Resource, Trace};
-use crate::workspace::Workspace;
-use hetjpeg_jpeg::decoder::{simd, Prepared};
-use hetjpeg_jpeg::error::Result;
-use hetjpeg_jpeg::metrics::ParallelWork;
-use hetjpeg_jpeg::types::RgbImage;
+use crate::timeline::{Resource, Trace};
 
 /// Fixed virtual-time overhead charged per restart segment (per-segment
 /// Huffman table construction and worker hand-off in the real driver).
@@ -92,54 +87,11 @@ pub(crate) fn schedule_entropy(
     (wall, out.classes)
 }
 
-/// Parallel-entropy decode on pooled scratch: segment-parallel on
-/// restartful streams, speculative chunk workers + stitch on restart-free
-/// ones.
-pub(crate) fn decode_parallel_entropy_in(
-    prep: &Prepared<'_>,
-    platform: &Platform,
-    threads: usize,
-    ws: &mut Workspace,
-) -> Result<DecodeOutcome> {
-    let geom = &prep.geom;
-    ws.ensure(prep);
-    let p = ws.parts();
-
-    // Functional decode on real threads, with per-unit work metrics.
-    let outcome = decode_entropy_parallel_into(prep, threads, p.coef)?;
-
-    let mut trace = Trace::default();
-    let (t_huff_wall, classes) = schedule_entropy(platform, &outcome, threads, &mut trace);
-
-    // SIMD parallel phase over the whole image, priced sparse-aware.
-    let mut image = RgbImage::new(geom.width, geom.height);
-    let work =
-        simd::decode_region_rgb_simd_with(prep, p.coef, 0, geom.mcus_y, &mut image.data, p.simd)?;
-    debug_assert_eq!(work, ParallelWork::for_mcu_rows(geom, 0, geom.mcus_y));
-    let t_band = platform.cpu.parallel_time_sparse(&work, &classes, true);
-    trace.push("cpu-simd", Resource::Cpu, t_huff_wall, t_huff_wall + t_band);
-
-    ws.spec.merge(&outcome.spec);
-    Ok(DecodeOutcome {
-        image,
-        ycc: None,
-        times: Breakdown {
-            huffman: t_huff_wall,
-            cpu_parallel: t_band,
-            total: t_huff_wall + t_band,
-            ..Default::default()
-        },
-        trace,
-        partition: None,
-        mode: Mode::ParallelEntropy,
-        truncated: false,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schedule::single;
+    use crate::schedule::{DecodeOutcome, Mode};
+    use crate::session::{DecodeOptions, Decoder};
     use hetjpeg_jpeg::encoder::{encode_rgb, EncodeParams};
     use hetjpeg_jpeg::types::Subsampling;
 
@@ -163,14 +115,26 @@ mod tests {
         .unwrap()
     }
 
+    fn session(platform: Platform, threads: usize) -> Decoder {
+        Decoder::builder()
+            .platform(platform)
+            .threads(threads)
+            .build()
+            .unwrap()
+    }
+
+    fn decode(decoder: &Decoder, jpeg: &[u8], mode: Mode) -> DecodeOutcome {
+        decoder
+            .decode(jpeg, DecodeOptions::with_mode(mode))
+            .unwrap()
+    }
+
     #[test]
     fn parallel_entropy_is_bit_identical_and_faster_with_restarts() {
         let jpeg = jpeg_with_restarts(256, 256, 4);
-        let platform = Platform::gtx560();
-        let prep = Prepared::new(&jpeg).unwrap();
-        let mut ws = Workspace::default();
-        let simd_out = single::decode_cpu_in(&prep, &platform, true, &mut ws).unwrap();
-        let par = decode_parallel_entropy_in(&prep, &platform, 4, &mut ws).unwrap();
+        let decoder = session(Platform::gtx560(), 4);
+        let simd_out = decode(&decoder, &jpeg, Mode::Simd);
+        let par = decode(&decoder, &jpeg, Mode::ParallelEntropy);
         assert_eq!(par.image.data, simd_out.image.data);
         // Four workers over many segments shrink the Huffman wall-time well
         // below the sequential stage.
@@ -189,11 +153,9 @@ mod tests {
         // entropy — speculative chunk workers + stitch shrink the Huffman
         // wall-time below the sequential stage while staying bit-identical.
         let jpeg = jpeg_with_restarts(320, 240, 0);
-        let platform = Platform::gt430();
-        let prep = Prepared::new(&jpeg).unwrap();
-        let mut ws = Workspace::default();
-        let simd_out = single::decode_cpu_in(&prep, &platform, true, &mut ws).unwrap();
-        let par = decode_parallel_entropy_in(&prep, &platform, 4, &mut ws).unwrap();
+        let decoder = session(Platform::gt430(), 4);
+        let simd_out = decode(&decoder, &jpeg, Mode::Simd);
+        let par = decode(&decoder, &jpeg, Mode::ParallelEntropy);
         assert_eq!(par.image.data, simd_out.image.data);
         assert!(
             par.times.huffman < simd_out.times.huffman,
@@ -201,19 +163,17 @@ mod tests {
             par.times.huffman * 1e3,
             simd_out.times.huffman * 1e3
         );
-        // Speculation counters surfaced through the workspace.
-        let spec = ws.spec;
+        // Speculation counters surfaced through the session.
+        let spec = decoder.stats().spec;
         assert!(spec.chunks >= 2 && spec.synced >= 1, "{spec:?}");
     }
 
     #[test]
     fn one_thread_degenerates_to_sequential_entropy() {
         let jpeg = jpeg_with_restarts(128, 96, 0);
-        let platform = Platform::gt430();
-        let prep = Prepared::new(&jpeg).unwrap();
-        let mut ws = Workspace::default();
-        let simd_out = single::decode_cpu_in(&prep, &platform, true, &mut ws).unwrap();
-        let par = decode_parallel_entropy_in(&prep, &platform, 1, &mut ws).unwrap();
+        let decoder = session(Platform::gt430(), 1);
+        let simd_out = decode(&decoder, &jpeg, Mode::Simd);
+        let par = decode(&decoder, &jpeg, Mode::ParallelEntropy);
         assert_eq!(par.image.data, simd_out.image.data);
         // One worker: the Huffman wall-time is the sequential time plus
         // the fixed per-unit overhead.
@@ -224,12 +184,10 @@ mod tests {
     #[test]
     fn more_virtual_workers_never_slow_the_schedule() {
         let jpeg = jpeg_with_restarts(192, 160, 2);
-        let platform = Platform::gtx680();
-        let prep = Prepared::new(&jpeg).unwrap();
-        let mut ws = Workspace::default();
         let mut last = f64::INFINITY;
         for threads in [1usize, 2, 4, 8] {
-            let out = decode_parallel_entropy_in(&prep, &platform, threads, &mut ws).unwrap();
+            let decoder = session(Platform::gtx680(), threads);
+            let out = decode(&decoder, &jpeg, Mode::ParallelEntropy);
             assert!(
                 out.times.huffman <= last * 1.0001,
                 "{threads} threads: {} vs {}",

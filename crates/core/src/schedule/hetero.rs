@@ -301,7 +301,6 @@ pub(crate) fn decode_pps_in(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schedule::single;
     use hetjpeg_jpeg::encoder::{encode_rgb, EncodeParams};
     use hetjpeg_jpeg::types::Subsampling;
 
@@ -327,6 +326,16 @@ mod tests {
         .unwrap()
     }
 
+    /// The SIMD CPU mode on the same pooled scratch.
+    fn simd_in(
+        prep: &Prepared<'_>,
+        platform: &Platform,
+        ws: &mut Workspace,
+    ) -> Result<DecodeOutcome> {
+        let model = platform.untrained_model();
+        crate::schedule::dispatch(prep, Mode::Simd, platform, &model, 1, ws)
+    }
+
     #[test]
     fn sps_output_matches_simd_bytes() {
         let jpeg = jpeg_of(192, 256, 77);
@@ -334,7 +343,7 @@ mod tests {
             let model = platform.untrained_model();
             let prep = Prepared::new(&jpeg).unwrap();
             let mut ws = Workspace::default();
-            let simd_out = single::decode_cpu_in(&prep, &platform, true, &mut ws).unwrap();
+            let simd_out = simd_in(&prep, &platform, &mut ws).unwrap();
             let sps_out = decode_sps_in(&prep, &platform, &model, &mut ws).unwrap();
             assert_eq!(simd_out.image.data, sps_out.image.data, "{}", platform.name);
             let part = sps_out.partition.unwrap();
@@ -349,7 +358,7 @@ mod tests {
             let model = platform.untrained_model();
             let prep = Prepared::new(&jpeg).unwrap();
             let mut ws = Workspace::default();
-            let simd_out = single::decode_cpu_in(&prep, &platform, true, &mut ws).unwrap();
+            let simd_out = simd_in(&prep, &platform, &mut ws).unwrap();
             let pps_out = decode_pps_in(&prep, &platform, &model, true, &mut ws).unwrap();
             assert_eq!(simd_out.image.data, pps_out.image.data, "{}", platform.name);
         }
@@ -396,7 +405,7 @@ mod tests {
         let jpeg = jpeg_of(512, 512, 5);
         let prep = Prepared::new(&jpeg).unwrap();
         let mut ws = Workspace::default();
-        let simd_out = single::decode_cpu_in(&prep, &platform, true, &mut ws).unwrap();
+        let simd_out = simd_in(&prep, &platform, &mut ws).unwrap();
         let sps_out = decode_sps_in(&prep, &platform, &model, &mut ws).unwrap();
         assert!(
             sps_out.total() < simd_out.total(),
@@ -477,13 +486,11 @@ mod tests {
         let totals: Vec<(Mode, f64)> = vec![
             (
                 Mode::Simd,
-                single::decode_cpu_in(&prep, &platform, true, &mut ws)
-                    .unwrap()
-                    .total(),
+                simd_in(&prep, &platform, &mut ws).unwrap().total(),
             ),
             (
                 Mode::Gpu,
-                single::decode_gpu_in(&prep, &platform, &model, &mut ws)
+                crate::schedule::single::decode_gpu_in(&prep, &platform, &model, &mut ws)
                     .unwrap()
                     .total(),
             ),

@@ -14,6 +14,7 @@
 //! deprecation; see docs/API.md for the migration table.)
 
 pub mod auto;
+pub(crate) mod cpu;
 pub mod entropy_par;
 pub(crate) mod hetero;
 pub(crate) mod single;
@@ -158,9 +159,9 @@ impl DecodeOutcome {
     }
 }
 
-/// Route one prepared image through the requested mode, resolving
-/// [`Mode::Auto`] via the performance model first. All decode paths share
-/// the caller's pooled [`Workspace`].
+/// Route one prepared image through a concrete mode. `Mode::Auto` must be
+/// resolved first — the session does, through its decision cache. All
+/// decode paths share the caller's pooled [`Workspace`].
 pub(crate) fn dispatch(
     prep: &Prepared<'_>,
     mode: Mode,
@@ -169,21 +170,17 @@ pub(crate) fn dispatch(
     threads: usize,
     ws: &mut Workspace,
 ) -> Result<DecodeOutcome> {
-    let mode = match mode {
-        Mode::Auto => auto::select_mode(prep, platform, model, threads).mode,
-        m => m,
-    };
     match mode {
-        Mode::Sequential => single::decode_cpu_in(prep, platform, false, ws),
-        Mode::Simd => single::decode_cpu_in(prep, platform, true, ws),
+        Mode::Sequential | Mode::Simd | Mode::ParallelEntropy => {
+            let filled = cpu::fill(prep, platform, cpu::Fill::entropy(mode, threads), ws)?;
+            let sink = cpu::Sink::Image(crate::session::OutputFormat::Rgb);
+            Ok(cpu::render(prep, platform, filled, mode, sink, ws)?.0)
+        }
         Mode::Gpu => single::decode_gpu_in(prep, platform, model, ws),
         Mode::PipelinedGpu => single::decode_pipelined_gpu_in(prep, platform, model, ws),
         Mode::Sps => hetero::decode_sps_in(prep, platform, model, ws),
         Mode::Pps => hetero::decode_pps_in(prep, platform, model, true, ws),
-        Mode::ParallelEntropy => {
-            entropy_par::decode_parallel_entropy_in(prep, platform, threads, ws)
-        }
-        Mode::Auto => unreachable!("Auto resolved above"),
+        Mode::Auto => unreachable!("dispatch takes a concrete mode; resolve Mode::Auto first"),
     }
 }
 

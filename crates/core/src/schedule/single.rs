@@ -1,146 +1,48 @@
-//! Single-device decode modes: sequential, SIMD, GPU, pipelined GPU.
+//! Single-device GPU decode modes: whole-image GPU, pipelined GPU, and the
+//! batched whole-image GPU staging. The CPU modes are the fill + render
+//! pipeline in [`super::cpu`].
 //!
 //! The `*_in` functions draw every band- and chunk-sized temporary from
 //! the caller's pooled [`Workspace`], so a session decoding many images
 //! allocates the big buffers once.
 
-use super::{entropy_into, eob_classes_in, DecodeOutcome, Mode};
+use super::{entropy_into, DecodeOutcome, Mode};
 use crate::gpu_decode::{decode_region_gpu_with, KernelPlan};
 use crate::model::PerformanceModel;
 use crate::platform::Platform;
 use crate::timeline::{Breakdown, Resource, Trace};
 use crate::workspace::Workspace;
 use hetjpeg_gpusim::CommandQueue;
-use hetjpeg_jpeg::decoder::{simd, stages, Prepared};
+use hetjpeg_jpeg::decoder::Prepared;
 use hetjpeg_jpeg::error::Result;
-use hetjpeg_jpeg::metrics::ParallelWork;
 use hetjpeg_jpeg::types::RgbImage;
-
-/// CPU-only decoding, scalar or SIMD path, on pooled scratch.
-pub(crate) fn decode_cpu_in(
-    prep: &Prepared<'_>,
-    platform: &Platform,
-    use_simd: bool,
-    ws: &mut Workspace,
-) -> Result<DecodeOutcome> {
-    let geom = &prep.geom;
-    ws.ensure(prep);
-    let p = ws.parts();
-    let (rows, t_huff) = entropy_into(prep, platform, p.coef)?;
-    let classes = eob_classes_in(&rows, 0, geom.mcus_y);
-
-    let mut image = RgbImage::new(geom.width, geom.height);
-    let work = if use_simd {
-        simd::decode_region_rgb_simd_with(prep, p.coef, 0, geom.mcus_y, &mut image.data, p.simd)?
-    } else {
-        stages::decode_region_rgb_with(prep, p.coef, 0, geom.mcus_y, &mut image.data, p.scalar)?
-    };
-    debug_assert_eq!(work, ParallelWork::for_mcu_rows(geom, 0, geom.mcus_y));
-    let t_par = platform.cpu.parallel_time_sparse(&work, &classes, use_simd);
-
-    let mut trace = Trace::default();
-    trace.push("huffman", Resource::Cpu, 0.0, t_huff);
-    trace.push(
-        if use_simd { "cpu-simd" } else { "cpu-scalar" },
-        Resource::Cpu,
-        t_huff,
-        t_huff + t_par,
-    );
-
-    Ok(DecodeOutcome {
-        image,
-        ycc: None,
-        times: Breakdown {
-            huffman: t_huff,
-            cpu_parallel: t_par,
-            total: t_huff + t_par,
-            ..Default::default()
-        },
-        trace,
-        partition: None,
-        mode: if use_simd {
-            Mode::Simd
-        } else {
-            Mode::Sequential
-        },
-        truncated: false,
-    })
-}
 
 /// GPU mode (Fig. 5a) on pooled scratch: whole-image Huffman on the CPU,
 /// then the full parallel phase as one transfer + kernel sequence on the
-/// GPU.
+/// GPU — a batch of one that pays its own solo transfer.
 pub(crate) fn decode_gpu_in(
     prep: &Prepared<'_>,
     platform: &Platform,
     model: &PerformanceModel,
     ws: &mut Workspace,
 ) -> Result<DecodeOutcome> {
-    let geom = &prep.geom;
-    ws.ensure(prep);
-    let p = ws.parts();
-    let (_rows, t_huff) = entropy_into(prep, platform, p.coef)?;
-    let t_disp = platform.cpu.dispatch_time(geom, 0, geom.mcus_y);
-
-    let res = decode_region_gpu_with(
-        prep,
-        p.coef,
-        0,
-        geom.mcus_y,
-        platform,
-        model.wg_blocks,
-        KernelPlan::Merged,
-        p.staging,
-    );
-    p.stats.h2d_transfers += 1;
-    p.stats.h2d_bytes += res.h2d_bytes as u64;
-
-    let mut trace = Trace::default();
-    trace.push("huffman", Resource::Cpu, 0.0, t_huff);
-    trace.push("dispatch", Resource::Cpu, t_huff, t_huff + t_disp);
-    let mut q = CommandQueue::new();
-    let h2d = q.enqueue("h2d", t_huff + t_disp, res.h2d_time);
-    trace.push("h2d", Resource::Gpu, h2d.start, h2d.end);
-    let mut kernels_total = 0.0;
-    for &(name, t) in &res.kernel_times {
-        let ev = q.enqueue(name, h2d.end, t);
-        trace.push("kernel", Resource::Gpu, ev.start, ev.end);
-        kernels_total += t;
-    }
-    let d2h = q.enqueue("d2h", q.drain_time(), res.d2h_time);
-    trace.push("d2h", Resource::Gpu, d2h.start, d2h.end);
-
-    let mut image = RgbImage::new(geom.width, geom.height);
-    image.data.copy_from_slice(&res.rgb);
-
-    Ok(DecodeOutcome {
-        image,
-        ycc: None,
-        times: Breakdown {
-            huffman: t_huff,
-            dispatch: t_disp,
-            h2d: res.h2d_time,
-            kernels: kernels_total,
-            d2h: res.d2h_time,
-            total: q.drain_time(),
-            ..Default::default()
-        },
-        trace,
-        partition: None,
-        mode: Mode::Gpu,
-        truncated: false,
-    })
+    let m = decode_gpu_batch_stage(prep, platform, model, ws)?;
+    ws.stats.h2d_transfers += 1;
+    let h2d_time = m.h2d_time;
+    Ok(finish_gpu_batch_member(m, h2d_time))
 }
 
-/// One image's share of a batched GPU decode (PR 9): everything
-/// [`decode_gpu_in`] computes *except* the H2D pricing, which the batch
-/// owner settles once the whole batch's compacted payload sizes are known.
+/// One image's share of a batched GPU decode: everything but the
+/// H2D pricing, which the batch owner settles once the whole batch's
+/// compacted payload sizes are known.
 pub(crate) struct GpuBatchMember {
     image: RgbImage,
     t_huff: f64,
     t_disp: f64,
     kernel_times: Vec<(&'static str, f64)>,
     d2h_time: f64,
+    /// The image's H2D time as a transfer of its own.
+    h2d_time: f64,
     /// Bytes this image contributes to the coalesced transfer.
     pub(crate) h2d_bytes: usize,
 }
@@ -174,21 +76,24 @@ pub(crate) fn decode_gpu_batch_stage(
         p.staging,
     );
     p.stats.h2d_bytes += res.h2d_bytes as u64;
-    let mut image = RgbImage::new(geom.width, geom.height);
-    image.data.copy_from_slice(&res.rgb);
     Ok(GpuBatchMember {
-        image,
+        image: RgbImage {
+            width: geom.width,
+            height: geom.height,
+            data: res.rgb,
+        },
         t_huff,
         t_disp,
         kernel_times: res.kernel_times,
         d2h_time: res.d2h_time,
+        h2d_time: res.h2d_time,
         h2d_bytes: res.h2d_bytes,
     })
 }
 
 /// Finalize a batch member once the coalesced transfer is priced:
 /// `h2d_share` is this image's byte-proportional slice of the batch's
-/// single H2D time. The timeline mirrors [`decode_gpu_in`]'s.
+/// single H2D time (a solo decode passes its own transfer time).
 pub(crate) fn finish_gpu_batch_member(m: GpuBatchMember, h2d_share: f64) -> DecodeOutcome {
     let mut trace = Trace::default();
     trace.push("huffman", Resource::Cpu, 0.0, m.t_huff);
@@ -307,6 +212,7 @@ pub(crate) fn decode_pipelined_gpu_in(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::{DecodeOptions, Decoder};
     use hetjpeg_jpeg::encoder::{encode_rgb, EncodeParams};
     use hetjpeg_jpeg::types::Subsampling;
 
@@ -328,14 +234,18 @@ mod tests {
         .unwrap()
     }
 
+    fn decode_with(jpeg: &[u8], platform: Platform, mode: Mode) -> DecodeOutcome {
+        let decoder = Decoder::builder().platform(platform).build().unwrap();
+        decoder
+            .decode(jpeg, DecodeOptions::with_mode(mode))
+            .unwrap()
+    }
+
     #[test]
     fn simd_is_faster_than_sequential() {
         let jpeg = jpeg_of(256, 256);
-        let platform = Platform::gtx560();
-        let prep = Prepared::new(&jpeg).unwrap();
-        let mut ws = Workspace::default();
-        let seq = decode_cpu_in(&prep, &platform, false, &mut ws).unwrap();
-        let simd = decode_cpu_in(&prep, &platform, true, &mut ws).unwrap();
+        let seq = decode_with(&jpeg, Platform::gtx560(), Mode::Sequential);
+        let simd = decode_with(&jpeg, Platform::gtx560(), Mode::Simd);
         assert_eq!(seq.image.data, simd.image.data);
         let speedup = seq.total() / simd.total();
         // §1: "twice as fast" overall.
@@ -345,12 +255,8 @@ mod tests {
     #[test]
     fn gpu_outcome_matches_cpu_bytes() {
         let jpeg = jpeg_of(128, 128);
-        let platform = Platform::gtx680();
-        let model = platform.untrained_model();
-        let prep = Prepared::new(&jpeg).unwrap();
-        let mut ws = Workspace::default();
-        let cpu = decode_cpu_in(&prep, &platform, true, &mut ws).unwrap();
-        let gpu = decode_gpu_in(&prep, &platform, &model, &mut ws).unwrap();
+        let cpu = decode_with(&jpeg, Platform::gtx680(), Mode::Simd);
+        let gpu = decode_with(&jpeg, Platform::gtx680(), Mode::Gpu);
         assert_eq!(cpu.image.data, gpu.image.data);
         // GPU breakdown contains transfers and kernels.
         assert!(gpu.times.h2d > 0.0 && gpu.times.kernels > 0.0 && gpu.times.d2h > 0.0);
@@ -395,15 +301,8 @@ mod tests {
     #[test]
     fn traces_have_consistent_makespan() {
         let jpeg = jpeg_of(128, 256);
-        let platform = Platform::gt430();
-        let model = platform.untrained_model();
-        let prep = Prepared::new(&jpeg).unwrap();
-        let mut ws = Workspace::default();
-        for out in [
-            decode_cpu_in(&prep, &platform, true, &mut ws).unwrap(),
-            decode_gpu_in(&prep, &platform, &model, &mut ws).unwrap(),
-            decode_pipelined_gpu_in(&prep, &platform, &model, &mut ws).unwrap(),
-        ] {
+        for mode in [Mode::Simd, Mode::Gpu, Mode::PipelinedGpu] {
+            let out = decode_with(&jpeg, Platform::gt430(), mode);
             assert!(
                 (out.trace.makespan() - out.times.total).abs() < 1e-9,
                 "{:?}: trace {} vs total {}",

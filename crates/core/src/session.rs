@@ -27,13 +27,15 @@
 use crate::exec::{decode_pps_threaded_impl, ThreadedOutcome};
 use crate::model::PerformanceModel;
 use crate::platform::Platform;
-use crate::schedule::{auto, dispatch, entropy_par, DecodeOutcome, Mode};
-use crate::timeline::{Breakdown, Resource, Trace};
+use crate::schedule::cpu::{self, Fill, Sink};
+use crate::schedule::{auto, dispatch, DecodeOutcome, Mode};
 use crate::workspace::{PoolStats, Workspace};
 use hetjpeg_jpeg::decoder::kernels::SimdLevel;
-use hetjpeg_jpeg::decoder::{simd, stages, Prepared};
+use hetjpeg_jpeg::decoder::Prepared;
 use hetjpeg_jpeg::error::{Error, Result};
-use hetjpeg_jpeg::types::{RgbImage, Subsampling, YccImage};
+use hetjpeg_jpeg::metrics::ParallelWork;
+use hetjpeg_jpeg::progressive::ProgressiveParsed;
+use hetjpeg_jpeg::types::Subsampling;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Mutex;
@@ -91,16 +93,12 @@ pub struct DecodeOptions {
     /// Decompression-bomb guard: images with more pixels than this are
     /// rejected before any allocation. `None` (default) disables the guard.
     pub max_pixels: Option<usize>,
-    /// Run the parallel-phase row kernels at [`SimdLevel::Scalar`] for this
-    /// call, overriding the session's one-time dispatch choice — the
-    /// testing hook that keeps the portable fallback exercised (output is
+    /// Run the parallel-phase kernels (IDCT included) at an explicit
+    /// [`SimdLevel`] for this call, clamped to what the host can run,
+    /// overriding the session's one-time dispatch choice — the testing
+    /// hook that keeps the portable fallback exercised and lets the
+    /// bit-identity matrices pin SSE2 on an AVX2 host (output is
     /// bit-identical at every level).
-    pub force_scalar_simd: bool,
-    /// Run the parallel-phase kernels (IDCT included since PR 5) at an
-    /// explicit [`SimdLevel`] for this call, clamped to what the host can
-    /// run — the generalization of [`Self::force_scalar_simd`] that lets
-    /// the bit-identity matrices pin SSE2 specifically on an AVX2 host.
-    /// Takes precedence over `force_scalar_simd` when set.
     pub force_simd_level: Option<SimdLevel>,
     /// For progressive (SOF2) images: decode at most this many scans and
     /// render the prefix — a coarser but well-defined image
@@ -117,7 +115,6 @@ impl Default for DecodeOptions {
             format: OutputFormat::Rgb,
             strictness: Strictness::Strict,
             max_pixels: None,
-            force_scalar_simd: false,
             force_simd_level: None,
             max_scans: None,
         }
@@ -151,12 +148,6 @@ impl DecodeOptions {
         self
     }
 
-    /// Force the scalar fallback kernels for this call (testing hook).
-    pub fn force_scalar_simd(mut self) -> Self {
-        self.force_scalar_simd = true;
-        self
-    }
-
     /// Force an explicit kernel dispatch level for this call (testing
     /// hook; clamped to the host's capability).
     pub fn force_simd(mut self, level: SimdLevel) -> Self {
@@ -168,6 +159,12 @@ impl DecodeOptions {
     pub fn max_scans(mut self, scans: usize) -> Self {
         self.max_scans = Some(scans);
         self
+    }
+
+    /// The kernel level these options run at on a session whose one-time
+    /// dispatch choice is `session`: the forced level when one is set.
+    pub fn simd_level(&self, session: SimdLevel) -> SimdLevel {
+        self.force_simd_level.unwrap_or(session)
     }
 }
 
@@ -407,16 +404,15 @@ struct SessionState {
     auto_cache: AutoCache,
 }
 
-/// How one image of a [`Decoder::decode_batch`] call is executed.
-enum BatchPlan {
-    /// Whole-image GPU mode: staged for the batch's single coalesced H2D
-    /// transfer (or the staging error).
-    Stage(Result<crate::schedule::single::GpuBatchMember>),
-    /// A concrete non-GPU mode, already resolved (possibly from the `Auto`
-    /// cache) — decode per-image without re-resolving.
-    Resolved(Mode),
-    /// Nothing resolved; take the ordinary per-image path untouched.
-    Solo,
+/// Everything [`Decoder::plan`] decides before a coefficient is decoded.
+struct Plan<'a> {
+    prep: Prepared<'a>,
+    /// The scan script of a progressive (SOF2) source.
+    progressive: Option<ProgressiveParsed<'a>>,
+    /// The concrete mode — or `Auto` for a whole-image progressive decode,
+    /// whose scalar-vs-SIMD render is priced once its scans are in.
+    mode: Mode,
+    opts: DecodeOptions,
 }
 
 /// A point-in-time snapshot of a session's pool and cache counters —
@@ -621,33 +617,26 @@ impl Decoder {
         let mut results: Vec<Option<Result<DecodeOutcome>>> = images.iter().map(|_| None).collect();
         let mut staged: Vec<(usize, crate::schedule::single::GpuBatchMember)> = Vec::new();
         for (i, data) in images.iter().enumerate() {
-            let data = data.as_ref();
-            match self.plan_batch_member(&mut state, data, &opts) {
-                BatchPlan::Stage(Ok(m)) => {
-                    staged.push((i, m));
+            let sink = Sink::Image(opts.format);
+            results[i] = Some(match self.plan(&mut state, data.as_ref(), &opts, false) {
+                Ok(plan) if plan.mode == Mode::Gpu => {
+                    let stage = crate::schedule::single::decode_gpu_batch_stage(
+                        &plan.prep,
+                        &self.platform,
+                        &self.model,
+                        &mut state.ws,
+                    );
+                    match stage {
+                        Ok(m) => {
+                            staged.push((i, m));
+                            continue;
+                        }
+                        Err(e) => self.salvage(&mut state.ws, &plan, e, sink).map(|(o, _)| o),
+                    }
                 }
-                // A staging failure under strict handling is the same error
-                // a solo decode would return; tolerant handling re-routes
-                // through the salvaging path with the already-resolved mode
-                // (so the `Auto` cache is not consulted twice per image).
-                BatchPlan::Stage(Err(e)) if opts.strictness == Strictness::Strict => {
-                    results[i] = Some(Err(e));
-                }
-                BatchPlan::Stage(Err(_)) => {
-                    let forced = DecodeOptions {
-                        mode: Mode::Gpu,
-                        ..opts
-                    };
-                    results[i] = Some(self.decode_locked(&mut state, data, &forced));
-                }
-                BatchPlan::Resolved(mode) => {
-                    let forced = DecodeOptions { mode, ..opts };
-                    results[i] = Some(self.decode_locked(&mut state, data, &forced));
-                }
-                BatchPlan::Solo => {
-                    results[i] = Some(self.decode_locked(&mut state, data, &opts));
-                }
-            }
+                Ok(plan) => self.run(&mut state.ws, &plan, sink).map(|(o, _)| o),
+                Err(e) => Err(e),
+            });
         }
         if !staged.is_empty() {
             let sizes: Vec<usize> = staged.iter().map(|(_, m)| m.h2d_bytes).collect();
@@ -702,199 +691,31 @@ impl Decoder {
                 "row streaming produces interleaved RGB only",
             ));
         }
-        let mut guard = self.state.lock().expect("decoder state lock");
-        let state = &mut *guard;
-        state
-            .ws
-            .set_simd_level(if let Some(level) = opts.force_simd_level {
-                level
-            } else if opts.force_scalar_simd {
-                SimdLevel::Scalar
-            } else {
-                self.simd_level
-            });
-        let tolerant = opts.strictness == Strictness::Tolerant;
-        if hetjpeg_jpeg::progressive::is_progressive(data) {
-            use hetjpeg_jpeg::progressive;
-            let parsed = progressive::parse_progressive(data)?;
-            if opts.strictness == Strictness::Strict {
-                if let Some(damage) = &parsed.damage {
-                    return Err(damage.clone());
-                }
-                if !parsed.complete {
-                    return Err(Error::UnexpectedEof);
-                }
-            }
-            let prep = Prepared::from_progressive(&parsed)?;
-            if let Some(max) = opts.max_pixels {
-                if prep.geom.pixels() > max {
-                    return Err(Error::Unsupported("image exceeds the max_pixels guard"));
-                }
-            }
-            state.ws.ensure(&prep);
-            state.ws.parts().coef.reset_for(&prep.geom);
-            let outcome = progressive::decode_scans(
-                &parsed,
-                &prep.geom,
-                state.ws.parts().coef,
-                opts.max_scans,
-                tolerant,
-            )?;
-            let limited = opts.max_scans.is_some_and(|m| m < parsed.scans.len());
-            let partial = limited || outcome.truncated;
-            state.ws.progressive.scans_decoded += outcome.scans_decoded as u64;
-            state.ws.progressive.refine_passes += outcome.refine_passes;
-            state.ws.progressive.partial_renders += u64::from(partial);
-            self.stream_tiles(state, &prep, &opts, partial, sink)
-        } else {
-            let prep = Prepared::new(data)?;
-            if let Some(max) = opts.max_pixels {
-                if prep.geom.pixels() > max {
-                    return Err(Error::Unsupported("image exceeds the max_pixels guard"));
-                }
-            }
-            state.ws.ensure(&prep);
-            let entropy = {
-                let p = state.ws.parts();
-                crate::schedule::entropy_into(&prep, &self.platform, p.coef).map(|_| ())
-            };
-            let truncated = match entropy {
-                Ok(()) => false,
-                Err(e) if tolerant && is_stream_error(&e) => {
-                    // Tolerant salvage, exactly as `Decoder::decode` would:
-                    // zero the buffer, re-decode row by row as far as the
-                    // stream allows, render the damaged tail neutral gray.
-                    state.ws.ensure_zeroed(&prep);
-                    let p = state.ws.parts();
-                    let mut dec = prep.entropy_decoder()?;
-                    let mut rows_ok = 0usize;
-                    while !dec.is_finished() {
-                        match dec.decode_mcu_row(p.coef) {
-                            Ok(_) => rows_ok += 1,
-                            Err(_) => break,
-                        }
-                    }
-                    rows_ok < prep.geom.mcus_y
-                }
-                Err(e) => return Err(e),
-            };
-            self.stream_tiles(state, &prep, &opts, truncated, sink)
-        }
-    }
-
-    /// The tile-render phase of [`Decoder::decode_rows`]: walk the MCU
-    /// rows of the already-filled coefficient buffer through the fused
-    /// pipeline, one caller-visible tile at a time.
-    fn stream_tiles(
-        &self,
-        state: &mut SessionState,
-        prep: &Prepared<'_>,
-        opts: &DecodeOptions,
-        truncated: bool,
-        sink: &mut dyn FnMut(RowTile<'_>) -> bool,
-    ) -> Result<RowStreamOutcome> {
-        let geom = &prep.geom;
-        let use_simd = opts.mode != Mode::Sequential;
-        let w = geom.width;
-        let h = geom.height;
-        let mut tile = Vec::new();
+        let mut state = self.state.lock().expect("decoder state lock");
+        let plan = self.plan(&mut state, data, &opts, true)?;
+        let geom = &plan.prep.geom;
+        let (width, height) = (geom.width, geom.height);
         let mut tiles = 0usize;
-        let p = state.ws.parts();
-        let completed = {
-            let mut tile_sink = |y0: usize, rows: usize, rgb: &[u8]| -> bool {
-                tiles += 1;
-                sink(RowTile {
-                    y0,
-                    rows,
-                    width: w,
-                    height: h,
-                    rgb,
-                })
-            };
-            let (_work, completed) = if use_simd {
-                simd::stream_region_rgb_simd_with(
-                    prep,
-                    p.coef,
-                    0,
-                    geom.mcus_y,
-                    &mut tile,
-                    p.simd,
-                    &mut tile_sink,
-                )?
-            } else {
-                stages::stream_region_rgb_with(
-                    prep,
-                    p.coef,
-                    0,
-                    geom.mcus_y,
-                    &mut tile,
-                    p.scalar,
-                    &mut tile_sink,
-                )?
-            };
-            completed
+        let mut tile_sink = |y0: usize, rows: usize, rgb: &[u8]| {
+            tiles += 1;
+            sink(RowTile {
+                y0,
+                rows,
+                width,
+                height,
+                rgb,
+            })
         };
+        let (out, completed) = self.run(&mut state.ws, &plan, Sink::Tiles(&mut tile_sink))?;
         Ok(RowStreamOutcome {
-            width: w,
-            height: geom.height,
+            width,
+            height,
             mcu_rows: geom.mcus_y,
             tiles,
-            truncated,
+            truncated: out.truncated,
             completed,
-            mode: if use_simd {
-                Mode::Simd
-            } else {
-                Mode::Sequential
-            },
+            mode: out.mode,
         })
-    }
-
-    /// Batched-transfer pre-pass for one image: stage it for the coalesced
-    /// GPU batch when — and only when — a solo decode would take the
-    /// whole-image GPU mode. [`BatchPlan::Resolved`] carries the mode an
-    /// `Auto` image resolved to (concrete but not GPU) so the per-image
-    /// fallback does not consult the decision cache a second time;
-    /// [`BatchPlan::Solo`] means nothing was resolved (different format,
-    /// progressive, unparseable, over the pixel guard).
-    fn plan_batch_member(
-        &self,
-        state: &mut SessionState,
-        data: &[u8],
-        opts: &DecodeOptions,
-    ) -> BatchPlan {
-        if opts.format != OutputFormat::Rgb || hetjpeg_jpeg::progressive::is_progressive(data) {
-            return BatchPlan::Solo;
-        }
-        let Ok(prep) = Prepared::new(data) else {
-            return BatchPlan::Solo;
-        };
-        if let Some(max) = opts.max_pixels {
-            if prep.geom.pixels() > max {
-                return BatchPlan::Solo;
-            }
-        }
-        state
-            .ws
-            .set_simd_level(if let Some(level) = opts.force_simd_level {
-                level
-            } else if opts.force_scalar_simd {
-                SimdLevel::Scalar
-            } else {
-                self.simd_level
-            });
-        let mode = match opts.mode {
-            Mode::Auto => self.auto_mode(state, &prep, false),
-            m => m,
-        };
-        if mode != Mode::Gpu {
-            return BatchPlan::Resolved(mode);
-        }
-        BatchPlan::Stage(crate::schedule::single::decode_gpu_batch_stage(
-            &prep,
-            &self.platform,
-            &self.model,
-            &mut state.ws,
-        ))
     }
 
     /// Decode with the real two-thread PPS pipeline (wall-clock, not
@@ -921,195 +742,159 @@ impl Decoder {
         data: &[u8],
         opts: &DecodeOptions,
     ) -> Result<DecodeOutcome> {
-        // Progressive (SOF2) images take their own path: every scan decodes
-        // sequentially on the CPU into the pooled coefficient buffer, then
-        // the parallel phase runs unchanged.
-        if hetjpeg_jpeg::progressive::is_progressive(data) {
-            return self.decode_progressive_locked(state, data, opts);
-        }
-        let prep = Prepared::new(data)?;
-        if let Some(max) = opts.max_pixels {
-            if prep.geom.pixels() > max {
-                return Err(Error::Unsupported("image exceeds the max_pixels guard"));
-            }
-        }
-        // The session's one-time dispatch choice (or the per-call
-        // force-level override) rides into the pooled band scratch.
-        state
-            .ws
-            .set_simd_level(if let Some(level) = opts.force_simd_level {
-                level
-            } else if opts.force_scalar_simd {
-                SimdLevel::Scalar
-            } else {
-                self.simd_level
-            });
-        match opts.format {
-            OutputFormat::Rgb => {
-                let mode = match opts.mode {
-                    Mode::Auto => self.auto_mode(state, &prep, false),
-                    m => m,
-                };
-                let res = dispatch(
-                    &prep,
-                    mode,
-                    &self.platform,
-                    &self.model,
-                    self.threads,
-                    &mut state.ws,
-                );
-                match res {
-                    Err(e) if opts.strictness == Strictness::Tolerant && is_stream_error(&e) => {
-                        self.salvage(&mut state.ws, &prep, mode, OutputFormat::Rgb)
-                    }
-                    other => other,
-                }
-            }
-            OutputFormat::PlanarYcc => {
-                let mode =
-                    match opts.mode {
-                        // Auto restricted to the modes that can produce planar
-                        // output: cheapest of sequential / SIMD / par-entropy,
-                        // cached under its own selection-space key.
-                        Mode::Auto => self.auto_mode(state, &prep, true),
-                        m if m.is_cpu_only() => m,
-                        _ if opts.strictness == Strictness::Tolerant => Mode::Simd,
-                        _ => return Err(Error::Unsupported(
-                            "planar output requires a CPU mode (sequential, SIMD or par-entropy)",
-                        )),
-                    };
-                let res = self.decode_planar(&mut state.ws, &prep, mode);
-                match res {
-                    Err(e) if opts.strictness == Strictness::Tolerant && is_stream_error(&e) => {
-                        self.salvage(&mut state.ws, &prep, mode, OutputFormat::PlanarYcc)
-                    }
-                    other => other,
-                }
-            }
-        }
+        let plan = self.plan(state, data, opts, false)?;
+        Ok(self.run(&mut state.ws, &plan, Sink::Image(opts.format))?.0)
     }
 
-    /// The progressive (SOF2) decode path: parse the scan script, decode
-    /// every scan (or the `max_scans` prefix) sequentially into the pooled
-    /// coefficient buffer, re-derive the EOB classes from the accumulated
-    /// state, and run the unchanged CPU parallel phase over it.
-    ///
-    /// The accumulated coefficients live in host memory and every scan is
-    /// strictly sequential, so only the CPU render paths apply: `Auto`
-    /// prices the scalar vs SIMD band with the per-class sparse costs (an
-    /// early prefix is dramatically sparse and prices accordingly), forced
-    /// `Sequential` keeps the scalar kernels, and every other forced mode
-    /// renders on the SIMD path.
-    fn decode_progressive_locked(
+    /// The front door every entry point shares: sniff and parse, the strict
+    /// damage checks, the pixel guard, the kernel level and the mode. A
+    /// row stream (`rows`) and a progressive source render straight from
+    /// the CPU coefficient buffer, so their mode collapses to the render
+    /// path: `Sequential` stays scalar, everything else renders SIMD.
+    fn plan<'a>(
         &self,
         state: &mut SessionState,
-        data: &[u8],
+        data: &'a [u8],
         opts: &DecodeOptions,
-    ) -> Result<DecodeOutcome> {
-        use hetjpeg_jpeg::metrics::{ParallelWork, RowMetrics};
-        use hetjpeg_jpeg::progressive;
-
-        let parsed = progressive::parse_progressive(data)?;
-        if opts.strictness == Strictness::Strict {
-            if let Some(damage) = &parsed.damage {
-                return Err(damage.clone());
+        rows: bool,
+    ) -> Result<Plan<'a>> {
+        let strict = opts.strictness == Strictness::Strict;
+        let progressive = if hetjpeg_jpeg::progressive::is_progressive(data) {
+            let parsed = hetjpeg_jpeg::progressive::parse_progressive(data)?;
+            if strict {
+                if let Some(damage) = &parsed.damage {
+                    return Err(damage.clone());
+                }
+                if !parsed.complete {
+                    return Err(Error::UnexpectedEof);
+                }
             }
-            if !parsed.complete {
-                return Err(Error::UnexpectedEof);
-            }
+            Some(parsed)
+        } else {
+            None
+        };
+        let prep = match &progressive {
+            Some(parsed) => Prepared::from_progressive(parsed)?,
+            None => Prepared::new(data)?,
+        };
+        if opts.max_pixels.is_some_and(|max| prep.geom.pixels() > max) {
+            return Err(Error::Unsupported("image exceeds the max_pixels guard"));
         }
-        let prep = Prepared::from_progressive(&parsed)?;
-        if let Some(max) = opts.max_pixels {
-            if prep.geom.pixels() > max {
-                return Err(Error::Unsupported("image exceeds the max_pixels guard"));
-            }
-        }
-        state
-            .ws
-            .set_simd_level(if let Some(level) = opts.force_simd_level {
-                level
-            } else if opts.force_scalar_simd {
-                SimdLevel::Scalar
-            } else {
-                self.simd_level
-            });
-        // Progressive scans accumulate into prior state, and a prefix
-        // render leaves later bands untouched — the buffer must be zeroed.
-        state.ws.ensure(&prep);
-        state.ws.parts().coef.reset_for(&prep.geom);
-        let tolerant = opts.strictness == Strictness::Tolerant;
-        let outcome = progressive::decode_scans(
-            &parsed,
-            &prep.geom,
-            state.ws.parts().coef,
-            opts.max_scans,
-            tolerant,
-        )?;
-
-        let limited = opts.max_scans.is_some_and(|m| m < parsed.scans.len());
-        let partial = limited || outcome.truncated;
-        state.ws.progressive.scans_decoded += outcome.scans_decoded as u64;
-        state.ws.progressive.refine_passes += outcome.refine_passes;
-        state.ws.progressive.partial_renders += u64::from(partial);
-
-        let classes = crate::schedule::eob_classes_in(&outcome.rows, 0, outcome.rows.len());
-        let mut total = RowMetrics::default();
-        for r in &outcome.rows {
-            total.add(r);
-        }
-        let t_huff = self
-            .platform
-            .cpu
-            .progressive_huff_time(&total, outcome.block_visits);
-
+        // The session's one-time dispatch choice (or the per-call force
+        // override) rides into the pooled band scratch.
+        state.ws.set_simd_level(opts.simd_level(self.simd_level));
+        let planar = opts.format == OutputFormat::PlanarYcc;
+        let collapse = rows || progressive.is_some();
         let mode = match opts.mode {
+            Mode::Sequential if collapse => Mode::Sequential,
+            Mode::Auto if collapse && !rows => Mode::Auto,
+            _ if collapse => Mode::Simd,
+            // Planar restricts Auto to the modes that can produce planes,
+            // cached under its own selection-space key.
+            Mode::Auto => self.auto_mode(state, &prep, planar),
+            m if !planar || m.is_cpu_only() => m,
+            _ if !strict => Mode::Simd,
+            _ => {
+                return Err(Error::Unsupported(
+                    "planar output requires a CPU mode (sequential, SIMD or par-entropy)",
+                ))
+            }
+        };
+        Ok(Plan {
+            prep,
+            progressive,
+            mode,
+            opts: *opts,
+        })
+    }
+
+    /// Execute a plan into `sink`. CPU modes fill the pooled coefficient
+    /// buffer and render it; the GPU-involving modes overlap entropy with
+    /// device work, so they decode whole through `dispatch`. A damaged
+    /// stream under tolerant handling falls back to [`Self::salvage`].
+    fn run(
+        &self,
+        ws: &mut Workspace,
+        plan: &Plan<'_>,
+        sink: Sink<'_>,
+    ) -> Result<(DecodeOutcome, bool)> {
+        let prep = &plan.prep;
+        let filled = if plan.mode.is_cpu_only() || plan.mode == Mode::Auto {
+            let how = match &plan.progressive {
+                Some(parsed) => Fill::Progressive {
+                    parsed,
+                    max_scans: plan.opts.max_scans,
+                    tolerant: plan.opts.strictness == Strictness::Tolerant,
+                },
+                None => Fill::entropy(plan.mode, self.threads),
+            };
+            cpu::fill(prep, &self.platform, how, ws)
+        } else {
+            let out = dispatch(
+                prep,
+                plan.mode,
+                &self.platform,
+                &self.model,
+                self.threads,
+                ws,
+            );
+            match out {
+                Ok(out) => return Ok((out, true)),
+                Err(e) => Err(e),
+            }
+        };
+        let filled = match filled {
+            Ok(filled) => filled,
+            Err(e) => return self.salvage(ws, plan, e, sink),
+        };
+        let mode = match plan.mode {
+            // Progressive Auto: price the scalar and SIMD bands on the
+            // accumulated EOB classes — an early prefix is dramatically
+            // sparse and prices accordingly.
             Mode::Auto => {
                 let work = ParallelWork::for_mcu_rows(&prep.geom, 0, prep.geom.mcus_y);
-                let scalar = self
-                    .platform
-                    .cpu
-                    .parallel_time_sparse(&work, &classes, false);
-                let simd = self
-                    .platform
-                    .cpu
-                    .parallel_time_sparse(&work, &classes, true);
-                if simd <= scalar {
+                let band = |simd| {
+                    self.platform
+                        .cpu
+                        .parallel_time_sparse(&work, &filled.classes, simd)
+                };
+                if band(true) <= band(false) {
                     Mode::Simd
                 } else {
                     Mode::Sequential
                 }
             }
-            Mode::Sequential => Mode::Sequential,
-            _ => Mode::Simd,
+            m => m,
         };
-        let use_simd = mode != Mode::Sequential;
+        cpu::render(prep, &self.platform, filled, mode, sink, ws)
+    }
 
-        let mut trace = Trace::default();
-        trace.push("huffman", Resource::Cpu, 0.0, t_huff);
-        let mut p = state.ws.parts();
-        let (image, ycc, t_band) =
-            self.cpu_parallel_output(&prep, &mut p, opts.format, use_simd, &classes)?;
-        trace.push(
-            if use_simd { "cpu-simd" } else { "cpu-scalar" },
-            Resource::Cpu,
-            t_huff,
-            t_huff + t_band,
+    /// Tolerant salvage after `err`: decode the stream row by row as far
+    /// as it allows and render the damaged tail neutral gray. Strict
+    /// handling and errors that are not entropy-stream damage (a bad
+    /// header) return `err` as is. Progressive sources never get here with
+    /// stream damage: their tolerant scan decoder stops at it on its own.
+    fn salvage(
+        &self,
+        ws: &mut Workspace,
+        plan: &Plan<'_>,
+        err: Error,
+        sink: Sink<'_>,
+    ) -> Result<(DecodeOutcome, bool)> {
+        let stream_damage = matches!(
+            err,
+            Error::UnexpectedEof | Error::BadHuffmanCode | Error::RestartMismatch { .. }
         );
-
-        Ok(DecodeOutcome {
-            image,
-            ycc,
-            times: Breakdown {
-                huffman: t_huff,
-                cpu_parallel: t_band,
-                total: t_huff + t_band,
-                ..Default::default()
-            },
-            trace,
-            partition: None,
-            mode,
-            truncated: partial,
-        })
+        if plan.opts.strictness == Strictness::Strict || !stream_damage {
+            return Err(err);
+        }
+        let filled = cpu::fill(&plan.prep, &self.platform, Fill::Salvage, ws)?;
+        let mode = if plan.mode.is_cpu_only() {
+            plan.mode
+        } else {
+            Mode::Simd
+        };
+        cpu::render(&plan.prep, &self.platform, filled, mode, sink, ws)
     }
 
     /// `Mode::Auto` with the per-shape session cache. `cpu_only` restricts
@@ -1138,210 +923,6 @@ impl Decoder {
         }
         mode
     }
-
-    /// Planar YCbCr decode on the CPU path: entropy (sequential, or
-    /// restart-parallel for `Mode::ParallelEntropy`), then dequant + IDCT +
-    /// upsample — no color conversion.
-    fn decode_planar(
-        &self,
-        ws: &mut Workspace,
-        prep: &Prepared<'_>,
-        mode: Mode,
-    ) -> Result<DecodeOutcome> {
-        let platform = &self.platform;
-        ws.ensure(prep);
-        let p = ws.parts();
-        let mut trace = Trace::default();
-        let mut spec = hetjpeg_jpeg::speculate::SpecStats::default();
-        let (t_huff, classes) = match mode {
-            Mode::ParallelEntropy => {
-                let outcome =
-                    crate::exec::decode_entropy_parallel_into(prep, self.threads, p.coef)?;
-                spec = outcome.spec;
-                entropy_par::schedule_entropy(platform, &outcome, self.threads, &mut trace)
-            }
-            _ => {
-                let (rows, total) = crate::schedule::entropy_into(prep, platform, p.coef)?;
-                trace.push("huffman", Resource::Cpu, 0.0, total);
-                (total, crate::schedule::eob_classes_in(&rows, 0, rows.len()))
-            }
-        };
-
-        let use_simd = mode != Mode::Sequential;
-        let mut p = p;
-        let (image, ycc, t_band) =
-            self.cpu_parallel_output(prep, &mut p, OutputFormat::PlanarYcc, use_simd, &classes)?;
-        trace.push(
-            if use_simd { "cpu-simd" } else { "cpu-scalar" },
-            Resource::Cpu,
-            t_huff,
-            t_huff + t_band,
-        );
-
-        ws.spec.merge(&spec);
-        Ok(DecodeOutcome {
-            image,
-            ycc,
-            times: Breakdown {
-                huffman: t_huff,
-                cpu_parallel: t_band,
-                total: t_huff + t_band,
-                ..Default::default()
-            },
-            trace,
-            partition: None,
-            mode,
-            truncated: false,
-        })
-    }
-
-    /// The whole-image CPU parallel phase for one output format, on pooled
-    /// scratch: assembles the outcome's image/planes and returns the band's
-    /// virtual time (sparse-priced from `classes`). Shared by the planar
-    /// path and the tolerant salvage.
-    fn cpu_parallel_output(
-        &self,
-        prep: &Prepared<'_>,
-        p: &mut crate::workspace::WsParts<'_>,
-        format: OutputFormat,
-        use_simd: bool,
-        classes: &[u64; 4],
-    ) -> Result<(RgbImage, Option<YccImage>, f64)> {
-        let geom = &prep.geom;
-        let platform = &self.platform;
-        match format {
-            OutputFormat::Rgb => {
-                let mut image = RgbImage::new(geom.width, geom.height);
-                let work = if use_simd {
-                    simd::decode_region_rgb_simd_with(
-                        prep,
-                        p.coef,
-                        0,
-                        geom.mcus_y,
-                        &mut image.data,
-                        p.simd,
-                    )?
-                } else {
-                    stages::decode_region_rgb_with(
-                        prep,
-                        p.coef,
-                        0,
-                        geom.mcus_y,
-                        &mut image.data,
-                        p.scalar,
-                    )?
-                };
-                let t = platform.cpu.parallel_time_sparse(&work, classes, use_simd);
-                Ok((image, None, t))
-            }
-            OutputFormat::PlanarYcc => {
-                let mut ycc = YccImage::new(geom.width, geom.height);
-                let work = if use_simd {
-                    simd::decode_region_ycc_simd_with(
-                        prep,
-                        p.coef,
-                        0,
-                        geom.mcus_y,
-                        &mut ycc,
-                        p.simd,
-                    )?
-                } else {
-                    stages::decode_region_ycc_with(
-                        prep,
-                        p.coef,
-                        0,
-                        geom.mcus_y,
-                        &mut ycc,
-                        p.scalar,
-                    )?
-                };
-                // Planar outcomes leave `image.data` empty; `ycc` carries
-                // the pixels.
-                let image = RgbImage {
-                    width: geom.width,
-                    height: geom.height,
-                    data: Vec::new(),
-                };
-                let t = platform
-                    .cpu
-                    .parallel_time_planar_sparse(&work, classes, use_simd);
-                Ok((image, Some(ycc), t))
-            }
-        }
-    }
-
-    /// Tolerant salvage: sequentially entropy-decode as far as the stream
-    /// allows, leave the damaged tail as zero coefficients (neutral gray),
-    /// and run the parallel phase over the whole image.
-    fn salvage(
-        &self,
-        ws: &mut Workspace,
-        prep: &Prepared<'_>,
-        mode: Mode,
-        format: OutputFormat,
-    ) -> Result<DecodeOutcome> {
-        let geom = &prep.geom;
-        let platform = &self.platform;
-        ws.ensure_zeroed(prep); // untouched blocks must render neutral gray
-        let p = ws.parts();
-        let mut dec = prep.entropy_decoder()?;
-        let mut t_huff = 0.0;
-        let mut rows_ok = 0usize;
-        let mut classes = [0u64; 4];
-        while !dec.is_finished() {
-            match dec.decode_mcu_row(p.coef) {
-                Ok(m) => {
-                    t_huff += platform.cpu.huff_time(&m);
-                    rows_ok += 1;
-                    for (a, b) in classes.iter_mut().zip(m.eob_classes) {
-                        *a += b;
-                    }
-                }
-                Err(_) => break,
-            }
-        }
-        let truncated = rows_ok < geom.mcus_y;
-
-        let mut trace = Trace::default();
-        trace.push("huffman", Resource::Cpu, 0.0, t_huff);
-        let use_simd = mode != Mode::Sequential;
-        let mut p = p;
-        // The damaged tail rows are absent from the histogram and price as
-        // dense — conservative for a region that renders neutral gray.
-        let (image, ycc, t_band) =
-            self.cpu_parallel_output(prep, &mut p, format, use_simd, &classes)?;
-        trace.push(
-            if use_simd { "cpu-simd" } else { "cpu-scalar" },
-            Resource::Cpu,
-            t_huff,
-            t_huff + t_band,
-        );
-
-        Ok(DecodeOutcome {
-            image,
-            ycc,
-            times: Breakdown {
-                huffman: t_huff,
-                cpu_parallel: t_band,
-                total: t_huff + t_band,
-                ..Default::default()
-            },
-            trace,
-            partition: None,
-            mode: if mode.is_cpu_only() { mode } else { Mode::Simd },
-            truncated,
-        })
-    }
-}
-
-/// True for errors that indicate a damaged/truncated entropy stream — the
-/// class a tolerant decode can salvage. Header-level problems (missing
-/// tables, bad dimensions) are not salvageable.
-fn is_stream_error(e: &Error) -> bool {
-    matches!(
-        e,
-        Error::UnexpectedEof | Error::BadHuffmanCode | Error::RestartMismatch { .. }
-    )
 }
 
 #[cfg(test)]

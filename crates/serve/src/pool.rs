@@ -1456,12 +1456,7 @@ fn apply_request_options(opts: &mut DecodeOptions, ro: &RequestOptions, session_
         opts.max_pixels = Some(opts.max_pixels.map_or(mp, |m| m.min(mp)));
     }
     if let Some(cap) = ro.simd_cap {
-        let base = opts.force_simd_level.unwrap_or(if opts.force_scalar_simd {
-            SimdLevel::Scalar
-        } else {
-            session_level
-        });
-        opts.force_simd_level = Some(base.min(cap));
+        opts.force_simd_level = Some(opts.simd_level(session_level).min(cap));
     }
     if let Some(ms) = ro.max_scans {
         let ms = ms.max(1) as usize;

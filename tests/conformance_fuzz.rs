@@ -9,7 +9,7 @@
 //! * forced-scalar and native SIMD dispatch must agree **exactly** on the
 //!   outcome — same `Ok`/`Err`, same dimensions, same bytes. With PR 5 the
 //!   IDCT itself is dispatched, so this extends the PR-3
-//!   `force_scalar_simd` hook's guarantee to the full decode path (bit
+//!   `force_simd(SimdLevel::Scalar)` hook's guarantee to the full decode path (bit
 //!   flips produce exactly the extreme coefficients the vector kernels'
 //!   i32-multiplicand range proof must hold for).
 //!

@@ -5,7 +5,9 @@
 
 use hetjpeg_core::platform::Platform;
 use hetjpeg_core::schedule::Mode;
-use hetjpeg_core::{BuildError, DecodeOptions, Decoder, OutputFormat, RowStreamOutcome, RowTile};
+use hetjpeg_core::{
+    BuildError, DecodeOptions, Decoder, OutputFormat, RowStreamOutcome, RowTile, SimdLevel,
+};
 use hetjpeg_jpeg::encoder::{encode_rgb, EncodeParams};
 use hetjpeg_jpeg::types::Subsampling;
 use proptest::prelude::*;
@@ -215,7 +217,6 @@ fn session_dispatch_choice_is_honored_and_force_scalar_matches() {
     // The kernel dispatch is resolved once at build time; the per-call
     // force-scalar override swaps in the portable fallback, and both paths
     // must produce identical bytes for every mode and output format.
-    use hetjpeg_core::SimdLevel;
     let decoder = Decoder::builder()
         .platform(Platform::gtx560())
         .threads(4)
@@ -238,7 +239,10 @@ fn session_dispatch_choice_is_honored_and_force_scalar_matches() {
                 .decode(jpeg, DecodeOptions::with_mode(mode))
                 .expect("decode");
             let forced = decoder
-                .decode(jpeg, DecodeOptions::with_mode(mode).force_scalar_simd())
+                .decode(
+                    jpeg,
+                    DecodeOptions::with_mode(mode).force_simd(SimdLevel::Scalar),
+                )
                 .expect("forced-scalar decode");
             assert_eq!(
                 fast.image.data, forced.image.data,
@@ -249,7 +253,7 @@ fn session_dispatch_choice_is_honored_and_force_scalar_matches() {
         let planar = DecodeOptions::with_mode(Mode::Simd).format(OutputFormat::PlanarYcc);
         let fast = decoder.decode(jpeg, planar).expect("planar");
         let forced = decoder
-            .decode(jpeg, planar.force_scalar_simd())
+            .decode(jpeg, planar.force_simd(SimdLevel::Scalar))
             .expect("planar forced");
         assert_eq!(
             fast.planar().unwrap().to_rgb().data,
@@ -274,7 +278,7 @@ fn tolerant_salvage_at_odd_dimensions_matches_forced_scalar() {
             let opts = DecodeOptions::with_mode(Mode::Simd).tolerant();
             let fast = decoder.decode(&jpeg, opts).expect("tolerant decode");
             let forced = decoder
-                .decode(&jpeg, opts.force_scalar_simd())
+                .decode(&jpeg, opts.force_simd(SimdLevel::Scalar))
                 .expect("tolerant forced-scalar decode");
             assert!(fast.truncated, "{w}x{h} {} should salvage", sub.notation());
             assert_eq!(

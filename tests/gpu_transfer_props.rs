@@ -22,7 +22,7 @@
 use hetjpeg_core::gpu_decode::{decode_region_gpu_mode, GpuStaging, KernelPlan, TransferMode};
 use hetjpeg_core::platform::Platform;
 use hetjpeg_core::schedule::Mode;
-use hetjpeg_core::{DecodeOptions, Decoder};
+use hetjpeg_core::{DecodeOptions, Decoder, SimdLevel};
 use hetjpeg_corpus::{generate_progressive_jpeg, generate_rgb, ImageSpec, Pattern};
 use hetjpeg_jpeg::coef::{compact_packed_blocks, unpack_compacted_blocks, CoefBuffer};
 use hetjpeg_jpeg::dct::sparse::{class_for_eob, CLASS_COEFS};
@@ -251,7 +251,7 @@ fn decoder_modes_and_simd_levels_agree_on_default_transfer() {
             for force_scalar in [false, true] {
                 let opts = DecodeOptions {
                     mode,
-                    force_scalar_simd: force_scalar,
+                    force_simd_level: force_scalar.then_some(SimdLevel::Scalar),
                     ..DecodeOptions::default()
                 };
                 let out = decoder.decode(&jpeg, opts).expect("decode");
