@@ -142,6 +142,8 @@ fn main() {
     let server = Server::start(ServeConfig {
         shards: 4,
         flush_after: Duration::from_micros(200),
+        platform: hetjpeg_core::Platform::gtx560(),
+        threads: 4,
         ..ServeConfig::default()
     })
     .expect("server start");

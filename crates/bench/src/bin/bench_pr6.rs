@@ -297,7 +297,7 @@ fn main() {
         for jpeg in &corpus.jpegs {
             let prep = hetjpeg_jpeg::decoder::Prepared::new(jpeg).expect("parse");
             let decision =
-                hetjpeg_core::schedule::auto::select_mode(&prep, &platform, &model, threads);
+                hetjpeg_core::schedule::auto::select(&prep, &platform, &model, threads, false);
             let cost_of = |m: Mode| {
                 decision
                     .predictions

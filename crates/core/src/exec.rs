@@ -223,6 +223,18 @@ pub fn decode_entropy_parallel_into(
             ..Default::default()
         });
     }
+    // A catch-all tail spanning more than one restart interval means the
+    // stream ended, or hit another marker, before its restart markers. No
+    // segment decoder checks restarts inside a segment, so the sequential
+    // decoder reports the error, the one every other mode reports.
+    let interval = prep.parsed.frame.restart_interval;
+    if interval > 0
+        && segments
+            .last()
+            .is_some_and(|tail| tail.mcu_count > interval)
+    {
+        prep.entropy_decoder()?.decode_remaining(coef)?;
+    }
     if segments.len() <= 1 || force_speculative() {
         return decode_entropy_speculative_into(prep, &segments, threads, coef);
     }

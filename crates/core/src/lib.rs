@@ -82,7 +82,7 @@ pub use hetjpeg_jpeg::decoder::kernels::SimdLevel;
 pub use platform::Platform;
 pub use schedule::{DecodeOutcome, Mode};
 pub use session::{
-    BuildError, DecodeOptions, Decoder, DecoderBuilder, OutputFormat, RowStreamOutcome, RowTile,
-    SessionStats, Strictness, DEFAULT_AUTO_CACHE_CAP,
+    default_threads, BuildError, DecodeOptions, Decoder, DecoderBuilder, OutputFormat,
+    RowStreamOutcome, RowTile, SessionStats, Strictness, DEFAULT_AUTO_CACHE_CAP,
 };
 pub use workspace::PoolStats;

@@ -29,11 +29,36 @@ pub const SEED_SPARSE_IDCT_DISCOUNT: f64 = 0.45;
 /// `profile::train` replaces this with the measured mean.
 pub const SEED_SPEC_PREFIX_MCUS: f64 = 6.0;
 
+/// The clock a model's seconds are measured in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Clock {
+    /// Simulated time on a modeled machine: the §5.1 cost model over the
+    /// simulated GPU — the paper-reproduction clock.
+    Virtual,
+    /// Wall-clock time measured on the host that runs the code
+    /// ([`crate::profile::train_host`]).
+    Wall,
+}
+
+impl Clock {
+    /// Name used in the text format.
+    pub fn name(&self) -> &'static str {
+        match self {
+            Clock::Virtual => "virtual",
+            Clock::Wall => "wall",
+        }
+    }
+}
+
 /// Calibrated closed forms for one (platform, subsampling) pair.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PerformanceModel {
-    /// Platform name (Table 1 machine).
+    /// Platform name (Table 1 machine, or "host").
     pub platform: String,
+    /// The clock the closed forms price in. A wall-clock model prices
+    /// only the modes that run natively on the CPU: every GPU-involving
+    /// mode is the simulator running on the same cores.
+    pub clock: Clock,
     /// Subsampling this model was trained for.
     pub subsampling: Subsampling,
     /// Huffman ns/pixel as a function of density (bytes/pixel).
@@ -70,9 +95,22 @@ pub struct PerformanceModel {
     /// Entropy density (bytes/pixel) the training corpus averaged — the
     /// point `PGPU` already embeds, where the density correction is zero.
     pub h2d_ref_density: f64,
+    /// Wall-clock models only: measured `ParallelEntropy` entropy speedup
+    /// over the sequential entropy decode at the session's thread count
+    /// (below 1 where the split costs more than the workers save).
+    pub pe_speedup: f64,
+    /// Wall-clock models only: `ParallelEntropy`'s fixed per-decode cost
+    /// in seconds (worker start-up, segment split, stitch).
+    pub pe_fixed_s: f64,
 }
 
 impl PerformanceModel {
+    /// `ParallelEntropy`'s entropy seconds on a wall-clock model, from the
+    /// sequential Huffman seconds `thuff`.
+    pub fn pe_huff_time(&self, thuff: f64) -> f64 {
+        self.pe_fixed_s + thuff / self.pe_speedup
+    }
+
     /// Eq. (4): whole-image (or band) Huffman time for `pixels` pixels at
     /// density `d` bytes/pixel.
     pub fn huff_time(&self, pixels: f64, d: f64) -> f64 {
@@ -175,6 +213,7 @@ impl PerformanceModel {
 
         PerformanceModel {
             platform: platform.name.to_string(),
+            clock: Clock::Virtual,
             subsampling: Subsampling::S422,
             thuff_ns_per_px: thuff,
             p_cpu,
@@ -186,6 +225,8 @@ impl PerformanceModel {
             spec_prefix_mcus: SEED_SPEC_PREFIX_MCUS,
             h2d_s_per_px: Poly1::new(vec![0.0]),
             h2d_ref_density: 0.0,
+            pe_speedup: 1.0,
+            pe_fixed_s: 0.0,
         }
     }
 
@@ -193,6 +234,7 @@ impl PerformanceModel {
     pub fn save_str(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!("platform = {}\n", self.platform));
+        out.push_str(&format!("clock = {}\n", self.clock.name()));
         out.push_str(&format!("subsampling = {}\n", self.subsampling.notation()));
         out.push_str(&format!("chunk_mcu_rows = {}\n", self.chunk_mcu_rows));
         out.push_str(&format!("wg_blocks = {}\n", self.wg_blocks));
@@ -202,6 +244,8 @@ impl PerformanceModel {
         ));
         out.push_str(&format!("spec_prefix_mcus = {:e}\n", self.spec_prefix_mcus));
         out.push_str(&format!("h2d_ref_density = {:e}\n", self.h2d_ref_density));
+        out.push_str(&format!("pe_speedup = {:e}\n", self.pe_speedup));
+        out.push_str(&format!("pe_fixed_s = {:e}\n", self.pe_fixed_s));
         let p1 = |name: &str, p: &Poly1, out: &mut String| {
             out.push_str(&format!("{name}.x_scale = {:e}\n", p.x_scale));
             let list: Vec<String> = p.coefs.iter().map(|c| format!("{c:e}")).collect();
@@ -268,8 +312,17 @@ impl PerformanceModel {
             "4:2:0" => Subsampling::S420,
             _ => return None,
         };
+        // Absent in files written before the clock was recorded: every
+        // model then was fit on a modeled machine.
+        let clock = match get("clock").as_deref() {
+            None | Some("virtual") => Clock::Virtual,
+            Some("wall") => Clock::Wall,
+            Some(_) => return None,
+        };
+        let get_f = |k: &str, default: f64| get(k).and_then(|s| s.parse().ok()).unwrap_or(default);
         Some(PerformanceModel {
             platform: get("platform")?,
+            clock,
             subsampling,
             thuff_ns_per_px: p1("thuff")?,
             p_cpu: p2("p_cpu")?,
@@ -278,19 +331,16 @@ impl PerformanceModel {
             chunk_mcu_rows: get("chunk_mcu_rows")?.parse().ok()?,
             wg_blocks: get("wg_blocks")?.parse().ok()?,
             // Absent in pre-PR-3 files: those models were fit dense.
-            pcpu_idct_discount: get("pcpu_idct_discount")
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(1.0),
+            pcpu_idct_discount: get_f("pcpu_idct_discount", 1.0),
             // Absent in pre-PR-6 files: use the analytic seed.
-            spec_prefix_mcus: get("spec_prefix_mcus")
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(SEED_SPEC_PREFIX_MCUS),
+            spec_prefix_mcus: get_f("spec_prefix_mcus", SEED_SPEC_PREFIX_MCUS),
             // Absent in pre-PR-9 files: zero correction (those models were
             // fit on the dense transfer, which does not vary with density).
             h2d_s_per_px: p1("h2d").unwrap_or_else(|| Poly1::new(vec![0.0])),
-            h2d_ref_density: get("h2d_ref_density")
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(0.0),
+            h2d_ref_density: get_f("h2d_ref_density", 0.0),
+            // Only wall-clock models read these.
+            pe_speedup: get_f("pe_speedup", 1.0),
+            pe_fixed_s: get_f("pe_fixed_s", 0.0),
         })
     }
 }

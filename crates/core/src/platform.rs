@@ -1,8 +1,9 @@
-//! Simulated evaluation platforms (paper Table 1).
+//! Simulated evaluation platforms (paper Table 1) and the host.
 //!
 //! A [`Platform`] bundles a CPU cost model, a simulated GPU and a PCIe
-//! model. The three presets correspond to the paper's three machines; the
-//! calibration anchors are listed in `EXPERIMENTS.md`.
+//! model. Three presets correspond to the paper's three machines; the
+//! calibration anchors are listed in `EXPERIMENTS.md`. [`Platform::host`]
+//! is the machine that runs the code, the session default.
 
 use crate::cost::CpuCostModel;
 use crate::model::PerformanceModel;
@@ -11,7 +12,8 @@ use hetjpeg_gpusim::{DeviceSpec, PcieModel};
 /// One CPU–GPU combination.
 #[derive(Debug, Clone)]
 pub struct Platform {
-    /// Machine name as in Table 1 ("GT 430", "GTX 560", "GTX 680").
+    /// Machine name as in Table 1 ("GT 430", "GTX 560", "GTX 680"), or
+    /// "host".
     pub name: &'static str,
     /// Host CPU cost model.
     pub cpu: CpuCostModel,
@@ -63,6 +65,37 @@ impl Platform {
         }
     }
 
+    /// The machine that runs the code. A session on it prices `Mode::Auto`
+    /// in wall-clock time with a model fitted on this host
+    /// ([`crate::profile::train_host`]) and picks among the CPU-only modes.
+    /// The GPU-involving modes still run when asked for: the simulated
+    /// GTX 560 on the host cores, traced in virtual time on machine 2's
+    /// device, PCIe and i7-2600K cost models, so explicit-mode traces equal
+    /// [`Platform::gtx560`]'s.
+    pub fn host() -> Self {
+        Platform {
+            name: "host",
+            ..Platform::gtx560()
+        }
+    }
+
+    /// True for [`Platform::host`].
+    pub fn is_host(&self) -> bool {
+        self.name == "host"
+    }
+
+    /// The platform a command line names: `host`, `gt430`, `gtx560` or
+    /// `gtx680`.
+    pub fn by_name(name: &str) -> Option<Platform> {
+        match name {
+            "host" => Some(Platform::host()),
+            "gt430" => Some(Platform::gt430()),
+            "gtx560" => Some(Platform::gtx560()),
+            "gtx680" => Some(Platform::gtx680()),
+            _ => None,
+        }
+    }
+
     /// All three evaluation machines, in the paper's order.
     pub fn all() -> Vec<Platform> {
         vec![Platform::gt430(), Platform::gtx560(), Platform::gtx680()]
@@ -93,6 +126,18 @@ mod tests {
         // Same CPU on machines 1 and 2, slightly faster on machine 3.
         assert_eq!(all[0].cpu.clock_ghz, all[1].cpu.clock_ghz);
         assert!(all[2].cpu.clock_ghz > all[1].cpu.clock_ghz);
+    }
+
+    #[test]
+    fn host_simulates_machine_2() {
+        let (host, m2) = (Platform::host(), Platform::gtx560());
+        assert!(host.is_host() && !m2.is_host());
+        assert_eq!(host.gpu.total_cores(), m2.gpu.total_cores());
+        assert_eq!(host.pcie.pinned_gbps, m2.pcie.pinned_gbps);
+        assert_eq!(host.cpu.clock_ghz, m2.cpu.clock_ghz);
+        assert_eq!(Platform::by_name("host").map(|p| p.name), Some("host"));
+        assert_eq!(Platform::by_name("gtx680").map(|p| p.name), Some("GTX 680"));
+        assert!(Platform::by_name("gtx970").is_none());
     }
 
     #[test]

@@ -10,12 +10,16 @@
 //!   the full height down to an eight pixel stripe ... The final partition
 //!   size is chosen as the largest size on the best list", §4.5),
 //! * [`trainer`] — runs the instrumented decoder over a training corpus and
-//!   fits the four closed forms with AIC-selected polynomial degrees.
+//!   fits the four closed forms with AIC-selected polynomial degrees,
+//! * [`host`] — the same pass in wall-clock time on the machine that runs
+//!   the code, for the CPU-only modes `Mode::Auto` picks among there.
 
 pub mod chunk;
+pub mod host;
 pub mod trainer;
 pub mod wg;
 
 pub use chunk::tune_chunk_rows;
+pub use host::train_host;
 pub use trainer::{train, TrainOptions};
 pub use wg::tune_wg_blocks;

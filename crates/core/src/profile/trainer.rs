@@ -14,6 +14,11 @@ use hetjpeg_jpeg::decoder::Prepared;
 use hetjpeg_jpeg::metrics::ParallelWork;
 use hetjpeg_jpeg::Subsampling;
 
+/// Worker count the speculation-prefix samples are taken at: the prefix
+/// is measured per chunk boundary, and four chunks give every training
+/// image several boundaries.
+const SPEC_SAMPLE_THREADS: usize = 4;
+
 /// Training knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct TrainOptions {
@@ -127,7 +132,7 @@ pub fn train(
         if let Ok(out) = crate::exec::decode_entropy_speculative_into(
             &prep,
             &segments,
-            crate::schedule::DEFAULT_ENTROPY_THREADS,
+            SPEC_SAMPLE_THREADS,
             &mut scratch,
         ) {
             if out.spec.chunks > segments.len() as u64 {
@@ -160,6 +165,7 @@ pub fn train(
 
     let mut model = PerformanceModel {
         platform: platform.name.to_string(),
+        clock: crate::model::Clock::Virtual,
         subsampling,
         thuff_ns_per_px: thuff,
         p_cpu,
@@ -175,6 +181,8 @@ pub fn train(
         },
         h2d_s_per_px: h2d,
         h2d_ref_density: density_samples.iter().sum::<f64>() / density_samples.len() as f64,
+        pe_speedup: 1.0,
+        pe_fixed_s: 0.0,
     };
 
     if opts.chunk_mcu_rows.is_none() {

@@ -9,6 +9,11 @@
 //! same adaptive-entry-point shape asymmetric-multicore decoders expose
 //! (Rodríguez-Sánchez & Quintana-Ortí, PAPERS.md).
 //!
+//! A model fitted in wall-clock time on the host
+//! ([`crate::profile::train_host`]) prices only the CPU-only modes: its
+//! `ParallelEntropy` term is the measured entropy speedup and fixed cost at
+//! the session's thread count rather than the virtual worker schedule.
+//!
 //! Everything here is *prediction*: no entropy decoding happens before the
 //! choice, so selection cost is a handful of Horner evaluations (plus one
 //! linear scan of the entropy data to count restart segments when DRI is
@@ -16,7 +21,7 @@
 
 use super::entropy_par::SEGMENT_OVERHEAD_S;
 use super::Mode;
-use crate::model::PerformanceModel;
+use crate::model::{Clock, PerformanceModel};
 use crate::partition::{pps, sps};
 use crate::platform::Platform;
 use hetjpeg_jpeg::decoder::Prepared;
@@ -37,18 +42,28 @@ pub struct Prediction {
 pub struct AutoDecision {
     /// The chosen (cheapest-predicted) mode.
     pub mode: Mode,
-    /// Predictions for every concrete mode, in [`Mode::all`] order.
+    /// Predictions for every candidate mode, in [`Mode::all`] order.
     pub predictions: Vec<Prediction>,
 }
 
-/// Predict every concrete mode's total and pick the cheapest.
-pub fn select_mode(
+/// Price the candidate modes and pick the cheapest: every concrete mode,
+/// or only the CPU-only ones when `cpu_only` is set (planar output, which
+/// the GPU kernels cannot produce) or the model prices in wall-clock time
+/// — on the host, every GPU-involving mode is the simulator running on the
+/// same cores, so only the modes that run natively there are candidates.
+/// `Decoder::predict` and `Mode::Auto` both decide here.
+pub fn select(
     prep: &Prepared<'_>,
     platform: &Platform,
     model: &PerformanceModel,
     threads: usize,
+    cpu_only: bool,
 ) -> AutoDecision {
-    let predictions = predict_all(prep, platform, model, threads);
+    let cpu_only = cpu_only || model.clock == Clock::Wall;
+    let candidates = Mode::all()
+        .into_iter()
+        .filter(|m| !cpu_only || m.is_cpu_only());
+    let predictions = predict(prep, platform, model, threads, candidates);
     let best = predictions
         .iter()
         .min_by(|a, b| a.seconds.total_cmp(&b.seconds))
@@ -59,34 +74,13 @@ pub fn select_mode(
     }
 }
 
-/// [`select_mode`] restricted to CPU-only modes — what planar output
-/// (which the GPU kernels cannot produce) selects among.
-pub fn select_cpu_mode(
+/// Predicted totals for `modes`, in their order.
+fn predict(
     prep: &Prepared<'_>,
     platform: &Platform,
     model: &PerformanceModel,
     threads: usize,
-) -> AutoDecision {
-    let predictions: Vec<Prediction> = predict_all(prep, platform, model, threads)
-        .into_iter()
-        .filter(|p| p.mode.is_cpu_only())
-        .collect();
-    let best = predictions
-        .iter()
-        .min_by(|a, b| a.seconds.total_cmp(&b.seconds))
-        .expect("cpu-only mode list is non-empty");
-    AutoDecision {
-        mode: best.mode,
-        predictions: predictions.clone(),
-    }
-}
-
-/// Predicted totals for all concrete modes, in [`Mode::all`] order.
-pub fn predict_all(
-    prep: &Prepared<'_>,
-    platform: &Platform,
-    model: &PerformanceModel,
-    threads: usize,
+    modes: impl Iterator<Item = Mode>,
 ) -> Vec<Prediction> {
     let geom = &prep.geom;
     let w = geom.width as f64;
@@ -149,10 +143,20 @@ pub fn predict_all(
                 part.predicted_cpu.max(huff_chunk + gpu)
             }
             // Entropy decode spread over the worker pool, then the SIMD
-            // band. Restart markers give exact segment boundaries; without
-            // them the speculative path pays a convergence prefix per chunk
-            // boundary (the trained `spec_prefix_mcus` term) plus the
-            // stitch overhead.
+            // band. A wall-clock model measured the speedup and fixed cost
+            // at the session's thread count.
+            Mode::ParallelEntropy if model.clock == Clock::Wall => {
+                let entropy = if threads <= 1 {
+                    thuff + model.pe_fixed_s
+                } else {
+                    model.pe_huff_time(thuff)
+                };
+                entropy + pcpu
+            }
+            // In virtual time, restart markers give exact segment
+            // boundaries; without them the speculative path pays a
+            // convergence prefix per chunk boundary (the trained
+            // `spec_prefix_mcus` term) plus the stitch overhead.
             Mode::ParallelEntropy => {
                 let segments = restart_segment_count(prep);
                 if threads <= 1 {
@@ -181,8 +185,7 @@ pub fn predict_all(
         }
     };
 
-    Mode::all()
-        .into_iter()
+    modes
         .map(|mode| Prediction {
             mode,
             seconds: seconds_for(mode),
@@ -233,7 +236,7 @@ mod tests {
         let prep = Prepared::new(&jpeg).unwrap();
         let platform = Platform::gtx560();
         let model = platform.untrained_model();
-        let preds = predict_all(&prep, &platform, &model, 4);
+        let preds = select(&prep, &platform, &model, 4, false).predictions;
         assert_eq!(preds.len(), Mode::all().len());
         for p in &preds {
             assert!(p.seconds.is_finite() && p.seconds > 0.0, "{:?}", p.mode);
@@ -251,12 +254,12 @@ mod tests {
 
         let mut gpu_awful = platform.untrained_model();
         gpu_awful.p_gpu.coefs[0][0] += 10.0;
-        let pick = select_mode(&prep, &platform, &gpu_awful, 1).mode;
+        let pick = select(&prep, &platform, &gpu_awful, 1, false).mode;
         assert!(pick.is_cpu_only(), "GPU-averse model picked {pick:?}");
 
         let mut cpu_awful = platform.untrained_model();
         cpu_awful.p_cpu.coefs[0][0] += 10.0;
-        let pick = select_mode(&prep, &platform, &cpu_awful, 1).mode;
+        let pick = select(&prep, &platform, &cpu_awful, 1, false).mode;
         assert!(!pick.is_cpu_only(), "CPU-averse model picked {pick:?}");
     }
 
@@ -269,10 +272,10 @@ mod tests {
         let platform = Platform::gt430();
         let mut model = platform.untrained_model();
         model.p_gpu.coefs[0][0] += 10.0; // GPU off the table
-        let decision = select_mode(&prep, &platform, &model, 8);
+        let decision = select(&prep, &platform, &model, 8, false);
         assert_eq!(decision.mode, Mode::ParallelEntropy);
         // And with one thread it must not be chosen over plain SIMD.
-        let single = select_mode(&prep, &platform, &model, 1);
+        let single = select(&prep, &platform, &model, 1, false);
         assert_ne!(single.mode, Mode::ParallelEntropy);
     }
 
@@ -286,16 +289,16 @@ mod tests {
         let platform = Platform::gt430();
         let mut model = platform.untrained_model();
         model.p_gpu.coefs[0][0] += 10.0; // GPU off the table
-        let decision = select_mode(&prep, &platform, &model, 8);
+        let decision = select(&prep, &platform, &model, 8, false);
         assert_eq!(decision.mode, Mode::ParallelEntropy);
 
         // A pathological fitted prefix (most of the image re-decoded per
         // boundary) must price speculation worse than sequential SIMD.
         let mcus = (prep.geom.mcus_x * prep.geom.mcus_y) as f64;
         model.spec_prefix_mcus = mcus;
-        let decision = select_mode(&prep, &platform, &model, 8);
+        let decision = select(&prep, &platform, &model, 8, false);
         assert_ne!(decision.mode, Mode::ParallelEntropy);
-        let preds = predict_all(&prep, &platform, &model, 8);
+        let preds = select(&prep, &platform, &model, 8, false).predictions;
         let pe = preds
             .iter()
             .find(|p| p.mode == Mode::ParallelEntropy)
@@ -305,8 +308,30 @@ mod tests {
 
         // One thread never speculates.
         model.spec_prefix_mcus = 0.0;
-        let single = select_mode(&prep, &platform, &model, 1);
+        let single = select(&prep, &platform, &model, 1, false);
         assert_ne!(single.mode, Mode::ParallelEntropy);
+    }
+
+    #[test]
+    fn wall_models_rank_cpu_modes_by_the_measured_speedup() {
+        // A wall-clock model never offers a GPU-involving mode, and its
+        // ParallelEntropy price follows the fitted speedup and fixed cost.
+        let jpeg = jpeg_of(384, 384, 0);
+        let prep = Prepared::new(&jpeg).unwrap();
+        let platform = Platform::host();
+        let mut model = platform.untrained_model();
+        model.clock = Clock::Wall;
+        model.pe_fixed_s = 0.0;
+        model.pe_speedup = 3.0;
+        let decision = select(&prep, &platform, &model, 4, false);
+        assert!(decision.predictions.iter().all(|p| p.mode.is_cpu_only()));
+        assert_eq!(decision.mode, Mode::ParallelEntropy);
+        // A speedup that does not pay for the fixed cost loses to Simd, and
+        // one worker never picks it.
+        model.pe_fixed_s = 1.0;
+        assert_eq!(select(&prep, &platform, &model, 4, false).mode, Mode::Simd);
+        model.pe_fixed_s = 0.0;
+        assert_eq!(select(&prep, &platform, &model, 1, false).mode, Mode::Simd);
     }
 
     #[test]
@@ -324,10 +349,13 @@ mod tests {
         assert!(d > 0.0);
         // The fast-GPU platform picks a GPU-involving mode uncorrected
         // (single-threaded, so parallel entropy is out of the running).
-        assert!(!select_mode(&prep, &platform, &model, 1).mode.is_cpu_only());
+        assert!(!select(&prep, &platform, &model, 1, false)
+            .mode
+            .is_cpu_only());
 
         let gpu_s = |m: &PerformanceModel| {
-            predict_all(&prep, &platform, m, 1)
+            select(&prep, &platform, m, 1, false)
+                .predictions
                 .iter()
                 .find(|p| p.mode == Mode::Gpu)
                 .unwrap()
@@ -351,7 +379,7 @@ mod tests {
         let mut awful = model.clone();
         awful.h2d_s_per_px = Poly1::new(vec![0.0, 1e-5]);
         awful.h2d_ref_density = 0.0;
-        let pick = select_mode(&prep, &platform, &awful, 1).mode;
+        let pick = select(&prep, &platform, &awful, 1, false).mode;
         assert!(pick.is_cpu_only(), "density-priced model picked {pick:?}");
     }
 
@@ -362,7 +390,7 @@ mod tests {
         let platform = Platform::gtx680();
         let model = platform.untrained_model();
         let mut ws = Workspace::default();
-        let pick = select_mode(&prep, &platform, &model, 4).mode;
+        let pick = select(&prep, &platform, &model, 4, false).mode;
         let auto_out =
             crate::schedule::dispatch(&prep, pick, &platform, &model, 4, &mut ws).unwrap();
         assert_ne!(auto_out.mode, Mode::Auto, "outcome reports the selection");

@@ -29,10 +29,6 @@ use hetjpeg_jpeg::decoder::Prepared;
 use hetjpeg_jpeg::error::Result;
 use hetjpeg_jpeg::types::{RgbImage, YccImage};
 
-/// Default worker count for [`Mode::ParallelEntropy`]; the session API
-/// makes it configurable (`Decoder::builder().threads(n)`).
-pub const DEFAULT_ENTROPY_THREADS: usize = 4;
-
 /// Decode mode selector: the paper's six decoder versions (§6), the
 /// restart-aware parallel-entropy extension, and the model-driven selector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

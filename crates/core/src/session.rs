@@ -5,8 +5,11 @@
 //!
 //! This is the shape the paper's contribution wants to be consumed in:
 //! *dynamic* partitioning means the caller should not pick a [`Mode`] by
-//! hand — [`Mode::Auto`] (the default) prices all seven concrete modes with
-//! the §5.1 closed forms per image and runs the cheapest. A session
+//! hand — [`Mode::Auto`] (the default) prices the concrete modes with the
+//! §5.1 closed forms per image and runs the cheapest. On the default
+//! [`Platform::host`] the forms are fitted in wall-clock time on this
+//! machine and price the CPU-only modes; on a paper machine they price all
+//! seven in virtual time. A session
 //! amortizes everything that is per-machine rather than per-image: the
 //! whole-image coefficient buffer, the band scratches, the GPU chunk
 //! staging, and the `Auto` decisions themselves (cached per image shape).
@@ -25,7 +28,7 @@
 //! ```
 
 use crate::exec::{decode_pps_threaded_impl, ThreadedOutcome};
-use crate::model::PerformanceModel;
+use crate::model::{Clock, PerformanceModel};
 use crate::platform::Platform;
 use crate::schedule::cpu::{self, Fill, Sink};
 use crate::schedule::{auto, dispatch, DecodeOutcome, Mode};
@@ -211,8 +214,10 @@ impl fmt::Display for BuildError {
 
 impl std::error::Error for BuildError {}
 
-/// Builder for [`Decoder`]. Platform defaults to the GTX 560 machine, the
-/// model to the platform's analytic seed, threads to 4.
+/// Builder for [`Decoder`]. Platform defaults to [`Platform::host`], threads
+/// to [`default_threads`], and the model to the host's wall-clock fit
+/// ([`crate::profile::train_host`]) on the host, to the platform's analytic
+/// seed on a paper machine.
 #[derive(Debug, Clone, Default)]
 pub struct DecoderBuilder {
     platform: Option<Platform>,
@@ -228,8 +233,9 @@ impl DecoderBuilder {
         self
     }
 
-    /// Trained performance model; defaults to the platform's analytic seed
-    /// ([`Platform::untrained_model`]).
+    /// Trained performance model; defaults to the host's wall-clock fit on
+    /// [`Platform::host`] and to the platform's analytic seed
+    /// ([`Platform::untrained_model`]) on a paper machine.
     pub fn model(mut self, model: PerformanceModel) -> Self {
         self.model = Some(model);
         self
@@ -263,13 +269,17 @@ impl DecoderBuilder {
         // assume speedups this session's dispatch policy will not deliver.
         // (An explicitly supplied trained model is taken as-is.)
         let simd_level = SimdLevel::detect();
-        let mut platform = self.platform.unwrap_or_else(Platform::gtx560);
+        let mut platform = self.platform.unwrap_or_else(Platform::host);
         platform.cpu = platform.cpu.at_level(simd_level);
-        let model = self.model.unwrap_or_else(|| platform.untrained_model());
-        let threads = self.threads.unwrap_or(entropy_par_default_threads());
+        let threads = self.threads.unwrap_or_else(default_threads);
         if threads == 0 || threads > MAX_THREADS {
             return Err(BuildError::InvalidThreads(threads));
         }
+        let model = match self.model {
+            Some(model) => model,
+            None if platform.is_host() => crate::profile::train_host(simd_level, threads),
+            None => platform.untrained_model(),
+        };
         let auto_cache_cap = self.auto_cache_cap.unwrap_or(DEFAULT_AUTO_CACHE_CAP);
         if auto_cache_cap == 0 {
             return Err(BuildError::InvalidAutoCacheCap);
@@ -303,9 +313,22 @@ impl DecoderBuilder {
         {
             return Err(BuildError::InvalidModel("non-finite coefficient"));
         }
+        if !(model.pe_speedup > 0.0 && model.pe_speedup.is_finite() && model.pe_fixed_s.is_finite())
+        {
+            return Err(BuildError::InvalidModel(
+                "pe_speedup must be positive and finite",
+            ));
+        }
+        // The GPU-involving modes trace in virtual time; a wall-clock model
+        // has no virtual forms to partition them with.
+        let trace_model = match model.clock {
+            Clock::Virtual => model.clone(),
+            Clock::Wall => platform.untrained_model(),
+        };
         Ok(Decoder {
             platform,
             model,
+            trace_model,
             threads,
             simd_level,
             state: Mutex::new(SessionState {
@@ -316,8 +339,12 @@ impl DecoderBuilder {
     }
 }
 
-fn entropy_par_default_threads() -> usize {
-    crate::schedule::DEFAULT_ENTROPY_THREADS
+/// The default entropy worker count: the host's available parallelism,
+/// clamped to `1..=MAX_THREADS`.
+pub fn default_threads() -> usize {
+    std::thread::available_parallelism()
+        .map_or(1, |n| n.get())
+        .clamp(1, MAX_THREADS)
 }
 
 /// Key under which `Mode::Auto` decisions are cached: every model input
@@ -494,7 +521,11 @@ pub struct RowStreamOutcome {
 /// serialize on the internal workspace lock.
 pub struct Decoder {
     platform: Platform,
+    /// Prices `Mode::Auto` and [`Decoder::predict`].
     model: PerformanceModel,
+    /// Schedules and traces the GPU-involving modes: `model` itself when it
+    /// prices in virtual time, the platform's analytic seed otherwise.
+    trace_model: PerformanceModel,
     threads: usize,
     /// Parallel-phase kernel dispatch, detected once at build time.
     simd_level: SimdLevel,
@@ -523,7 +554,7 @@ impl Decoder {
         &self.platform
     }
 
-    /// The session's performance model.
+    /// The session's performance model — the one `Mode::Auto` prices with.
     pub fn model(&self) -> &PerformanceModel {
         &self.model
     }
@@ -623,7 +654,7 @@ impl Decoder {
                     let stage = crate::schedule::single::decode_gpu_batch_stage(
                         &plan.prep,
                         &self.platform,
-                        &self.model,
+                        &self.trace_model,
                         &mut state.ws,
                     );
                     match stage {
@@ -721,18 +752,21 @@ impl Decoder {
     /// Decode with the real two-thread PPS pipeline (wall-clock, not
     /// virtual time) — the host demonstration of §3/§4.5.
     pub fn decode_threaded(&self, data: &[u8]) -> Result<ThreadedOutcome> {
-        decode_pps_threaded_impl(data, &self.platform, &self.model)
+        decode_pps_threaded_impl(data, &self.platform, &self.trace_model)
     }
 
-    /// Predict every concrete mode's total for an image without decoding
-    /// it — the ranking `Mode::Auto` decides on.
+    /// Predict the candidate modes' totals for an image without decoding
+    /// it — the ranking `Mode::Auto` decides on for RGB output: every
+    /// concrete mode on a virtual-time model, the CPU-only modes on a
+    /// wall-clock one.
     pub fn predict(&self, data: &[u8]) -> Result<auto::AutoDecision> {
         let prep = Prepared::new(data)?;
-        Ok(auto::select_mode(
+        Ok(auto::select(
             &prep,
             &self.platform,
             &self.model,
             self.threads,
+            false,
         ))
     }
 
@@ -834,7 +868,7 @@ impl Decoder {
                 prep,
                 plan.mode,
                 &self.platform,
-                &self.model,
+                &self.trace_model,
                 self.threads,
                 ws,
             );
@@ -912,11 +946,7 @@ impl Decoder {
             state.ws.stats.auto_cache_hits += 1;
             return mode;
         }
-        let mode = if cpu_only {
-            auto::select_cpu_mode(prep, &self.platform, &self.model, self.threads).mode
-        } else {
-            auto::select_mode(prep, &self.platform, &self.model, self.threads).mode
-        };
+        let mode = auto::select(prep, &self.platform, &self.model, self.threads, cpu_only).mode;
         state.ws.stats.auto_evals += 1;
         if state.auto_cache.insert(key, mode) {
             state.ws.stats.auto_evictions += 1;
@@ -972,14 +1002,21 @@ mod tests {
         // A zero work-group size would divide by zero inside the kernels.
         let mut bad = Platform::gtx560().untrained_model();
         bad.wg_blocks = 0;
+        let gtx560 = || Decoder::builder().platform(Platform::gtx560());
         assert!(matches!(
-            Decoder::builder().model(bad).build(),
+            gtx560().model(bad).build(),
             Err(BuildError::InvalidModel(_))
         ));
         let mut nan = Platform::gtx560().untrained_model();
         nan.p_gpu.coefs[1][1] = f64::NAN;
         assert!(matches!(
-            Decoder::builder().model(nan).build(),
+            gtx560().model(nan).build(),
+            Err(BuildError::InvalidModel(_))
+        ));
+        let mut negative = Platform::host().untrained_model();
+        negative.pe_speedup = -1.0;
+        assert!(matches!(
+            Decoder::builder().model(negative).build(),
             Err(BuildError::InvalidModel(_))
         ));
         // The happy path still builds.

@@ -183,7 +183,10 @@ pub struct RestartSegment {
 }
 
 /// Split the scan data at restart markers. Returns one segment per restart
-/// interval; without DRI the whole scan is a single segment.
+/// interval; without DRI the whole scan is a single segment. The last
+/// segment takes every MCU the markers found do not cover, so when it spans
+/// more than one interval the stream ended (or hit another marker) before
+/// its restart markers, and a strict decode must fail.
 pub fn split_restart_segments(parsed: &ParsedJpeg<'_>, geom: &Geometry) -> Vec<RestartSegment> {
     let total_mcus = geom.mcus_x * geom.mcus_y;
     let interval = parsed.frame.restart_interval;

@@ -284,6 +284,10 @@ impl FrontEnd {
             if stream.set_nonblocking(true).is_err() {
                 continue;
             }
+            // A reply leaves in several writes; with Nagle's algorithm on,
+            // each after the first waits for the client's delayed ACK. A
+            // failure only costs latency, so the connection is kept.
+            let _ = stream.set_nodelay(true);
             let token = *next_token;
             *next_token += 1;
             if poller

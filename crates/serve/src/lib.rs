@@ -83,12 +83,15 @@ pub struct ServeConfig {
     pub flush_after: Duration,
     /// `Mode::Auto` decision-cache cap for each shard's session.
     pub auto_cache_cap: usize,
-    /// Target platform shared by every shard.
+    /// Target platform shared by every shard; defaults to
+    /// [`Platform::host`], whose `Mode::Auto` prices in wall-clock time.
     pub platform: Platform,
-    /// Trained performance model; `None` uses the platform's analytic
-    /// seed.
+    /// Trained performance model; `None` uses the session default: the
+    /// host's wall-clock fit on [`Platform::host`], the analytic seed on a
+    /// paper machine.
     pub model: Option<hetjpeg_core::model::PerformanceModel>,
-    /// Entropy worker threads per session (`Mode::ParallelEntropy`).
+    /// Entropy worker threads per session (`Mode::ParallelEntropy`);
+    /// defaults to [`hetjpeg_core::default_threads`].
     pub threads: usize,
     /// Decode options applied to every request (mode, strictness,
     /// `max_pixels` guard). The output format must be RGB for the wire
@@ -129,9 +132,9 @@ impl Default for ServeConfig {
             max_batch: 8,
             flush_after: Duration::from_micros(200),
             auto_cache_cap: DEFAULT_AUTO_CACHE_CAP,
-            platform: Platform::gtx560(),
+            platform: Platform::host(),
             model: None,
-            threads: 4,
+            threads: hetjpeg_core::default_threads(),
             options: DecodeOptions::default(),
             scan_deadline: None,
             fault_plan: None,

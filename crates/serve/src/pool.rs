@@ -54,8 +54,9 @@
 //! [`ServeHandle::submit_with`] accepts an optional per-request deadline.
 //! At admission the home shard's completion time is estimated as its
 //! queued work plus this request's predicted cost — `Decoder::predict`'s
-//! §5.1 virtual seconds scaled by the shard's observed wall-per-virtual
-//! ratio for baseline images, measured bytes/s throughput for progressive
+//! §5.1 seconds (wall-clock on the host platform, virtual on a paper
+//! machine) scaled by the shard's observed wall-per-predicted ratio for
+//! baseline images, measured bytes/s throughput for progressive
 //! ones. Infeasible requests are shed with [`ServeError::Busy`] (carrying
 //! a retry-after hint) or, when [`SubmitOptions::degrade`] opts in,
 //! admitted degraded: progressive sources fall back to a `max_scans`
@@ -783,19 +784,21 @@ struct RetiredTotals {
 /// one.
 struct SessionSpec {
     platform: hetjpeg_core::Platform,
-    model: hetjpeg_core::model::PerformanceModel,
+    model: Option<hetjpeg_core::model::PerformanceModel>,
     threads: usize,
     auto_cache_cap: usize,
 }
 
 impl SessionSpec {
     fn build(&self) -> Result<Decoder, hetjpeg_core::BuildError> {
-        Decoder::builder()
+        let mut builder = Decoder::builder()
             .platform(self.platform.clone())
-            .model(self.model.clone())
             .threads(self.threads)
-            .auto_cache_cap(self.auto_cache_cap)
-            .build()
+            .auto_cache_cap(self.auto_cache_cap);
+        if let Some(model) = &self.model {
+            builder = builder.model(model.clone());
+        }
+        builder.build()
     }
 }
 
@@ -918,10 +921,7 @@ impl Server {
         for _ in 0..config.shards {
             let spec = SessionSpec {
                 platform: config.platform.clone(),
-                model: config
-                    .model
-                    .clone()
-                    .unwrap_or_else(|| config.platform.untrained_model()),
+                model: config.model.clone(),
                 threads: config.threads,
                 auto_cache_cap: config.auto_cache_cap,
             };

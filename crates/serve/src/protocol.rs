@@ -1010,6 +1010,9 @@ pub fn serve_tcp_with(
                 }
                 Err(e) => return Err(e),
             };
+            // As in the event front end: no Nagle delay between the writes
+            // of one reply; a failure only costs latency.
+            let _ = stream.set_nodelay(true);
             if active.fetch_add(1, Ordering::AcqRel) >= max_connections {
                 active.fetch_sub(1, Ordering::AcqRel);
                 // Tell the client why before closing: Busy with a

@@ -48,11 +48,23 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 
+/// A plain session configured as the server's shards are, for reference
+/// bytes.
+fn reference_session(config: &ServeConfig) -> Decoder {
+    let mut builder = Decoder::builder()
+        .platform(config.platform.clone())
+        .threads(config.threads);
+    if let Some(model) = &config.model {
+        builder = builder.model(model.clone());
+    }
+    builder.build().expect("reference session")
+}
+
 fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  hetjpeg-serve (--addr HOST:PORT | --stdio | --smoke | --chaos-smoke)\n\
          \u{20}              [--shards N] [--queue-depth N] [--max-batch N] [--flush-us N]\n\
-         \u{20}              [--cache-cap N] [--threads N] [--platform gt430|gtx560|gtx680]\n\
+         \u{20}              [--cache-cap N] [--threads N] [--platform host|gt430|gtx560|gtx680]\n\
          \u{20}              [--model model.txt] [--max-pixels N] [--tolerant]\n\
          \u{20}              [--max-scans N] [--scan-deadline-us N]\n\
          \u{20}              [--fault SPEC[:SEED]] [--breaker-threshold N] [--breaker-cooldown-us N]\n\
@@ -97,14 +109,13 @@ fn config_from_args(args: &[String]) -> Result<ServeConfig, ExitCode> {
     if let Some(n) = parse_or_usage(args, "--threads")? {
         config.threads = n;
     }
-    match arg_value(args, "--platform").as_deref() {
-        None => {}
-        Some("gt430") => config.platform = Platform::gt430(),
-        Some("gtx560") => config.platform = Platform::gtx560(),
-        Some("gtx680") => config.platform = Platform::gtx680(),
-        Some(other) => {
-            eprintln!("unknown platform {other}");
-            return Err(usage());
+    if let Some(name) = arg_value(args, "--platform") {
+        match Platform::by_name(&name) {
+            Some(platform) => config.platform = platform,
+            None => {
+                eprintln!("unknown platform {name}");
+                return Err(usage());
+            }
         }
     }
     if let Some(path) = arg_value(args, "--model") {
@@ -350,17 +361,7 @@ fn smoke(mut config: ServeConfig) -> ExitCode {
     let corpus = corpus;
 
     // Reference bytes from a plain session with the same configuration.
-    let reference_decoder = Decoder::builder()
-        .platform(config.platform.clone())
-        .model(
-            config
-                .model
-                .clone()
-                .unwrap_or_else(|| config.platform.untrained_model()),
-        )
-        .threads(config.threads)
-        .build()
-        .expect("reference session");
+    let reference_decoder = reference_session(&config);
     let references: Vec<Vec<u8>> = corpus
         .iter()
         .map(|j| {
@@ -542,17 +543,7 @@ fn chaos_smoke(config: ServeConfig) -> ExitCode {
         };
         generate_jpeg(&spec, 85, Subsampling::S420).expect("encode chaos image")
     };
-    let reference = Decoder::builder()
-        .platform(config.platform.clone())
-        .model(
-            config
-                .model
-                .clone()
-                .unwrap_or_else(|| config.platform.untrained_model()),
-        )
-        .threads(config.threads)
-        .build()
-        .expect("reference session");
+    let reference = reference_session(&config);
     let ref_bytes = |jpeg: &[u8]| {
         reference
             .decode(jpeg, config.options)

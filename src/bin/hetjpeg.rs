@@ -8,9 +8,11 @@
 //! ```
 //!
 //! `decode` runs the requested scheduler mode, writes a binary PPM (P6) and
-//! prints the virtual-time stage breakdown for the chosen Table 1 machine.
+//! prints the virtual-time stage breakdown for the chosen machine
+//! (`--platform host`, the default, traces on machine 2's models).
 //! `predict` prints the §5.1 cost-model ranking without decoding — the same
-//! estimate `hetjpeg-serve` uses for SLO admission control.
+//! estimate `hetjpeg-serve` uses for SLO admission control — in wall-clock
+//! time on the host, in virtual time on a Table 1 machine.
 
 use hetjpeg_core::platform::Platform;
 use hetjpeg_core::schedule::Mode;
@@ -23,15 +25,50 @@ use std::process::ExitCode;
 fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  hetjpeg decode <in.jpg> [-o out.ppm] [--mode auto|seq|simd|gpu|pipeline|sps|pps|par]\n\
-         \u{20}                [--platform gt430|gtx560|gtx680] [--model model.txt]\n\
+         \u{20}                [--platform host|gt430|gtx560|gtx680] [--model model.txt]\n\
          \u{20}                [--threads N] [--planar] [--tolerant] [--max-pixels N]\n\
          \u{20} hetjpeg encode <in.ppm> [-o out.jpg] [--quality N] [--subsampling 444|422|420]\n\
          \u{20}                [--restart N]\n\
          \u{20} hetjpeg info <in.jpg>\n\
-         \u{20} hetjpeg predict <in.jpg> [--platform gt430|gtx560|gtx680] [--model model.txt]\n\
+         \u{20} hetjpeg predict <in.jpg> [--platform host|gt430|gtx560|gtx680] [--model model.txt]\n\
          \u{20}                [--threads N]"
     );
     ExitCode::from(2)
+}
+
+/// The session `--platform`, `--model` and `--threads` describe.
+fn session_from_args(args: &[String]) -> Result<Decoder, ExitCode> {
+    let name = arg_value(args, "--platform").unwrap_or_else(|| "host".into());
+    let Some(platform) = Platform::by_name(&name) else {
+        eprintln!("unknown platform {name}");
+        return Err(usage());
+    };
+    let mut builder = Decoder::builder().platform(platform);
+    if let Some(path) = arg_value(args, "--model") {
+        match std::fs::read_to_string(&path)
+            .ok()
+            .and_then(|t| hetjpeg_core::model::PerformanceModel::load_str(&t))
+        {
+            Some(m) => builder = builder.model(m),
+            None => {
+                eprintln!("cannot load model from {path}");
+                return Err(ExitCode::FAILURE);
+            }
+        }
+    }
+    if let Some(v) = arg_value(args, "--threads") {
+        match v.parse() {
+            Ok(n) => builder = builder.threads(n),
+            Err(_) => {
+                eprintln!("invalid --threads value {v:?}");
+                return Err(usage());
+            }
+        }
+    }
+    builder.build().map_err(|e| {
+        eprintln!("invalid decoder configuration: {e}");
+        ExitCode::FAILURE
+    })
 }
 
 fn arg_value(args: &[String], key: &str) -> Option<String> {
@@ -77,51 +114,11 @@ fn cmd_decode(input: &str, args: &[String]) -> ExitCode {
             return usage();
         }
     };
-    let platform = match arg_value(args, "--platform").as_deref().unwrap_or("gtx560") {
-        "gt430" => Platform::gt430(),
-        "gtx560" => Platform::gtx560(),
-        "gtx680" => Platform::gtx680(),
-        other => {
-            eprintln!("unknown platform {other}");
-            return usage();
-        }
-    };
-    let model = match arg_value(args, "--model") {
-        Some(path) => match std::fs::read_to_string(&path)
-            .ok()
-            .and_then(|t| hetjpeg_core::model::PerformanceModel::load_str(&t))
-        {
-            Some(m) => m,
-            None => {
-                eprintln!("cannot load model from {path}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => platform.untrained_model(),
-    };
-    let threads: usize = match arg_value(args, "--threads") {
-        Some(v) => match v.parse() {
-            Ok(n) => n,
-            Err(_) => {
-                eprintln!("invalid --threads value {v:?}");
-                return usage();
-            }
-        },
-        None => 4,
-    };
-
-    let decoder = match Decoder::builder()
-        .platform(platform.clone())
-        .model(model)
-        .threads(threads)
-        .build()
-    {
+    let decoder = match session_from_args(args) {
         Ok(d) => d,
-        Err(e) => {
-            eprintln!("invalid decoder configuration: {e}");
-            return ExitCode::FAILURE;
-        }
+        Err(code) => return code,
     };
+    let platform = decoder.platform();
     let mut opts = DecodeOptions::with_mode(mode);
     if args.iter().any(|a| a == "--planar") {
         opts = opts.format(OutputFormat::PlanarYcc);
@@ -216,43 +213,11 @@ fn cmd_predict(input: &str, args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let platform = match arg_value(args, "--platform").as_deref().unwrap_or("gtx560") {
-        "gt430" => Platform::gt430(),
-        "gtx560" => Platform::gtx560(),
-        "gtx680" => Platform::gtx680(),
-        other => {
-            eprintln!("unknown platform {other}");
-            return usage();
-        }
-    };
-    let model = match arg_value(args, "--model") {
-        Some(path) => match std::fs::read_to_string(&path)
-            .ok()
-            .and_then(|t| hetjpeg_core::model::PerformanceModel::load_str(&t))
-        {
-            Some(m) => m,
-            None => {
-                eprintln!("cannot load model from {path}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => platform.untrained_model(),
-    };
-    let threads: usize = arg_value(args, "--threads")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4);
-    let decoder = match Decoder::builder()
-        .platform(platform.clone())
-        .model(model)
-        .threads(threads)
-        .build()
-    {
+    let decoder = match session_from_args(args) {
         Ok(d) => d,
-        Err(e) => {
-            eprintln!("invalid decoder configuration: {e}");
-            return ExitCode::FAILURE;
-        }
+        Err(code) => return code,
     };
+    let platform = decoder.platform();
     // Progressive (SOF2) streams have no per-mode cost model; the server
     // prices them from measured shard throughput instead.
     let decision = match decoder.predict(&data) {
@@ -263,9 +228,10 @@ fn cmd_predict(input: &str, args: &[String]) -> ExitCode {
         }
     };
     println!(
-        "{input} on {}: would choose {}",
+        "{input} on {}: would choose {} ({} clock)",
         platform.name,
-        decision.mode.name()
+        decision.mode.name(),
+        decoder.model().clock.name()
     );
     for p in &decision.predictions {
         println!(

@@ -356,10 +356,7 @@ fn decode_rows_reassembles_to_decode_pixels() {
     cut_dri.truncate(cut_dri.len() - cut_dri.len() / 3);
     let mut cut_progressive = noise_progressive(64, 64, Subsampling::S422, 35);
     cut_progressive.truncate(cut_progressive.len() / 2);
-    // The whole-image reference decodes with `Simd`: `Auto` may pick
-    // ParallelEntropy, whose segment split does not yet notice missing
-    // restart intervals, so it would not flag the truncated DRI stream.
-    let strict = DecodeOptions::with_mode(Mode::Simd);
+    let strict = DecodeOptions::default();
     let cases: Vec<(&str, &[u8], DecodeOptions, bool)> = vec![
         ("baseline", &baseline, strict, false),
         ("dri", &dri, strict, false),
@@ -432,13 +429,7 @@ fn decode_rows_decode_and_batch_fail_identically() {
             &big,
             DecodeOptions::default().max_pixels(64 * 48 - 1),
         ),
-        // Explicit mode: `Auto` may pick ParallelEntropy, whose segment
-        // split does not yet notice the missing restart intervals.
-        (
-            "strict truncated dri",
-            &cut_dri,
-            DecodeOptions::with_mode(Mode::Simd),
-        ),
+        ("strict truncated dri", &cut_dri, DecodeOptions::default()),
         (
             "strict truncated progressive",
             &cut_progressive,
@@ -470,6 +461,17 @@ fn decode_rows_decode_and_batch_fail_identically() {
                 "{label}: {path} text differs"
             );
         }
+    }
+    // Every mode fails the strict truncated DRI stream with the same error.
+    let want = decoder
+        .decode(&cut_dri, DecodeOptions::with_mode(Mode::Sequential))
+        .expect_err("sequential");
+    for mode in Mode::all() {
+        let err = decoder
+            .decode(&cut_dri, DecodeOptions::with_mode(mode))
+            .expect_err(mode.name());
+        assert_eq!(err, want, "{mode:?} variant differs");
+        assert_eq!(err.to_string(), want.to_string(), "{mode:?} text differs");
     }
 }
 

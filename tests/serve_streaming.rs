@@ -694,3 +694,74 @@ fn submission_errors_surface_on_streaming_tickets() {
         Err(e) => panic!("unexpected submit error: {e}"),
     }
 }
+
+/// Median round trip of sequential requests over one connection whose
+/// client keeps the kernel's delayed ACKs (no `TCP_QUICKACK`): a plain v1,
+/// a plain v2 and a streamed v2 request, in turn.
+fn sequential_round_trip(addr: std::net::SocketAddr, jpeg: &[u8]) -> Duration {
+    let mut stream = std::net::TcpStream::connect(addr).unwrap();
+    stream.set_nodelay(true).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut lat = Vec::new();
+    for i in 0..30 {
+        let t0 = Instant::now();
+        match i % 3 {
+            0 => write_request(&mut stream, jpeg).unwrap(),
+            1 => write_request_v2_opts(&mut stream, jpeg, &SubmitOptions::default()).unwrap(),
+            _ => write_request_v2_opts(&mut stream, jpeg, &streaming_submit()).unwrap(),
+        }
+        let reply = read_response(&mut stream).unwrap();
+        assert!(reply.frame().is_some(), "request {i}: {reply:?}");
+        lat.push(t0.elapsed());
+    }
+    write_goodbye(&mut stream).unwrap();
+    lat.sort();
+    lat[lat.len() / 2]
+}
+
+#[test]
+fn tcp_replies_do_not_wait_for_delayed_acks() {
+    // A reply leaves in several writes. With Nagle's algorithm on the
+    // accepted socket, each write after the first waits for the client's
+    // ACK, which a delayed-ACK client holds for tens of milliseconds; a
+    // tiny image otherwise round-trips in well under a millisecond.
+    use std::net::TcpListener;
+    let server = Server::start(ServeConfig {
+        shards: 1,
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let handle = server.handle();
+    let j = jpeg(32, 32, 81, Subsampling::S420);
+    let limit = Duration::from_millis(10);
+
+    // Thread-per-connection path: runs detached until the process exits.
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let accept_handle = handle.clone();
+    std::thread::spawn(move || {
+        let _ = protocol::serve_tcp(&accept_handle, listener);
+    });
+    let threaded = sequential_round_trip(addr, &j);
+    assert!(threaded < limit, "threaded front end median {threaded:?}");
+
+    #[cfg(unix)]
+    {
+        use hetjpeg::serve::frontend::FrontEnd;
+        use std::sync::Arc;
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let fe = Arc::new(FrontEnd::new(handle.clone(), listener).unwrap());
+        let runner = {
+            let fe = Arc::clone(&fe);
+            std::thread::spawn(move || fe.run())
+        };
+        let event = sequential_round_trip(addr, &j);
+        fe.stop();
+        runner.join().unwrap().unwrap();
+        assert!(event < limit, "event front end median {event:?}");
+    }
+    server.shutdown();
+}
